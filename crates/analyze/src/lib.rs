@@ -29,7 +29,11 @@
 //!   interior mutability and `unsafe` live only in the sanctioned chip
 //!   worker-pool module (`crates/core/src/chip/parallel.rs`) and the
 //!   host-side harness files, and frozen read views expose only `&self`
-//!   methods.
+//!   methods;
+//! * **snapshot-clock** — fetch policies and adaptive selectors
+//!   (`crates/fetch`, `crates/adapt`) never read `SmtSnapshot::cycle`: the
+//!   pipeline's quiescent fast path skips their per-cycle queries while only
+//!   the clock moves, which is exact only if no query depends on it.
 //!
 //! A finding is suppressed with a justified annotation on (or directly
 //! above) the offending line:

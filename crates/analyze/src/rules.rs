@@ -24,7 +24,7 @@ pub struct Finding {
 }
 
 /// The enforced rule ids, i.e. the valid arguments to `analyze: allow(...)`.
-pub const RULE_IDS: [&str; 8] = [
+pub const RULE_IDS: [&str; 9] = [
     "hot-path-alloc",
     "determinism",
     "swap-point",
@@ -33,6 +33,7 @@ pub const RULE_IDS: [&str; 8] = [
     "panic-policy",
     "sampling-discipline",
     "sync-discipline",
+    "snapshot-clock",
 ];
 
 /// Crates whose sources must stay deterministic: everything that executes
@@ -91,6 +92,12 @@ const SAMPLING_PATTERNS: [(&str, bool); 7] = [
     ("cycle += ", true),
     ("cycle -= ", true),
 ];
+
+/// Crates holding fetch policies and adaptive selectors, whose per-cycle
+/// queries must not depend on the clock (`snapshot-clock`).
+fn in_policy_scope(path: &str) -> bool {
+    path.starts_with("crates/fetch/src/") || path.starts_with("crates/adapt/src/")
+}
 
 /// Allocation constructs forbidden in steady-state pipeline code. `(needle,
 /// needs_word_boundary_before)`.
@@ -187,6 +194,9 @@ pub(crate) fn check_file(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding
     }
     if in_sim_scope(&file.path) && file.path != SYNC_MODULE && !in_sync_harness(&file.path) {
         sync_discipline(file, raw, out);
+    }
+    if in_policy_scope(&file.path) {
+        snapshot_clock(file, raw, out);
     }
 }
 
@@ -665,6 +675,40 @@ fn sync_discipline(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding>) {
                 }
                 _ => {}
             }
+        }
+    }
+}
+
+/// **snapshot-clock** — fetch policies and adaptive selectors never read
+/// the cycle number off the `SmtSnapshot` they are handed. The pipeline's
+/// quiescent fast path skips the per-cycle policy queries while nothing but
+/// the clock changes; a query that depended on the clock would make that
+/// skip observable. Flags `.cycle` field reads (not `.cycles`, `.cycle_*`
+/// or a `.cycle(` method call) and a `cycle` field destructured out of an
+/// `SmtSnapshot` pattern on one line.
+fn snapshot_clock(file: &ScannedFile, raw: &[&str], out: &mut Vec<Finding>) {
+    for (idx, line) in file.lines.iter().enumerate() {
+        if line.in_test {
+            continue;
+        }
+        let code = line.code.as_str();
+        let field_read = code.match_indices(".cycle").any(|(at, pat)| {
+            code.as_bytes()
+                .get(at + pat.len())
+                .is_none_or(|&b| !(b.is_ascii_alphanumeric() || b == b'_' || b == b'('))
+        });
+        let destructured = contains_word(code, "SmtSnapshot") && contains_word(code, "cycle");
+        if field_read || destructured {
+            out.push(finding(
+                file,
+                raw,
+                idx + 1,
+                "snapshot-clock",
+                "reads the snapshot's cycle number in policy code: fetch-policy and \
+                 selector queries must not depend on the clock (the quiescent fast \
+                 path skips them while only the clock moves)"
+                    .to_string(),
+            ));
         }
     }
 }

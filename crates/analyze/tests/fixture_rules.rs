@@ -117,6 +117,33 @@ fn sampling_discipline_fires_only_in_the_fast_forward_file() {
 }
 
 #[test]
+fn snapshot_clock_fires_in_policy_and_selector_crates() {
+    for path in ["crates/fetch/src/fake.rs", "crates/adapt/src/fake.rs"] {
+        let report = analyze_inputs(&[input(path, include_str!("fixtures/snapshot_clock.rs"))]);
+        // `oldest_lll_cycle`, `.cycles`, `.cycle()` and `.cycle_*` are legal;
+        // the allowed read on line 20 is suppressed, not reported.
+        assert_eq!(
+            hits(&report),
+            vec![
+                (7, "snapshot-clock"),
+                (8, "snapshot-clock"),
+                (13, "snapshot-clock"),
+            ],
+            "{path}"
+        );
+        assert_eq!(report.suppressed.len(), 1, "{path}");
+    }
+
+    // The pipeline owns the clock: outside the policy crates the rule does
+    // not apply, and the allow annotation is reported as stale.
+    let pipeline = analyze_inputs(&[input(
+        "crates/core/src/pipeline/fake.rs",
+        include_str!("fixtures/snapshot_clock.rs"),
+    )]);
+    assert_eq!(hits(&pipeline), vec![(19, "unused-allow")]);
+}
+
+#[test]
 fn sync_discipline_fires_in_sim_crates_outside_the_pool_module() {
     let report = analyze_inputs(&[input(
         "crates/adapt/src/fake.rs",

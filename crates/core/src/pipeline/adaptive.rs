@@ -84,6 +84,7 @@ impl Core {
         state.baseline.capture(&self.stats);
         state.interval_start = self.cycle;
         self.adaptive = Some(state);
+        self.wake();
         Ok(())
     }
 
@@ -114,6 +115,8 @@ impl Core {
         if let Some(adaptive) = &mut self.adaptive {
             adaptive.swaps += 1;
         }
+        // The fresh policy may gate differently: end any quiescent stretch.
+        self.wake();
         true
     }
 
@@ -153,6 +156,13 @@ impl Core {
             adaptive.residency.clear();
             adaptive.swaps = 0;
         }
+    }
+
+    /// The cycle the current adaptive interval ends at (a quiescent-stretch
+    /// wake source), or `None` on non-adaptive cores.
+    pub(super) fn next_interval_boundary(&self) -> Option<u64> {
+        let adaptive = self.adaptive.as_ref()?;
+        Some(adaptive.interval_start + adaptive.config.interval_cycles)
     }
 
     /// End-of-cycle hook: at interval boundaries, publish the finished

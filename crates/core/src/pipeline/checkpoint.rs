@@ -246,6 +246,7 @@ impl SmtSimulator {
         self.shared
             .restore_state(&ck.shared)
             .map_err(SimError::invalid_config)?;
+        self.core.wake();
         Ok(())
     }
 }

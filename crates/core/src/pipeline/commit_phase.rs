@@ -91,6 +91,7 @@ impl Core {
                     }
                 }
                 done += 1;
+                self.progress = true;
             }
         }
     }

@@ -33,7 +33,11 @@ impl Core {
             if remaining == 0 {
                 break;
             }
-            let ti = (self.rotate + offset) % num_threads;
+            // `rotate + offset < 2 * num_threads`: wrap without a division.
+            let ti = match self.rotate + offset {
+                ti if ti >= num_threads => ti - num_threads,
+                ti => ti,
+            };
             let thread_id = ThreadId::new(ti);
             loop {
                 if remaining == 0 {
@@ -129,6 +133,7 @@ impl Core {
                     }
                 }
                 remaining -= 1;
+                self.progress = true;
 
                 // Front-end long-latency / MLP prediction for loads.
                 if op.kind == OpKind::Load {
@@ -176,6 +181,9 @@ impl Core {
             let mut flushes = std::mem::take(&mut self.flushes);
             flushes.clear();
             self.policy.on_resource_stall(snapshot, &mut flushes);
+            // An emitted flush is progress even when it squashes nothing: the
+            // fetch-policy contract lets the policy change state only then.
+            self.progress |= !flushes.is_empty();
             for req in flushes.drain(..) {
                 self.apply_flush(req);
             }

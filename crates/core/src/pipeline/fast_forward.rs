@@ -61,6 +61,7 @@ impl Core {
             self.is_drained(),
             "fast-forward requires a drained pipeline"
         );
+        self.wake();
         let now = self.cycle;
         for _ in 0..instructions {
             for ti in 0..self.threads.len() {
@@ -130,6 +131,7 @@ impl Core {
             self.is_drained(),
             "skip-forward requires a drained pipeline"
         );
+        self.wake();
         // Threads consume independent streams and nothing but per-thread
         // cursors move, so the old one-instruction-round-robin interleaving
         // and this per-thread bulk skip are observationally identical — and

@@ -2,15 +2,16 @@
 //! account gated cycles, and pull instructions (fresh or re-fetched) into the
 //! front end, predicting branches exactly once per dynamic branch.
 
-use smt_types::{OpFlags, OpKind, SeqNum, SmtSnapshot, ThreadId};
+use smt_types::{OpFlags, OpKind, SeqNum, SmtSnapshot};
 
-use super::Core;
+use super::{stats, Core};
 
 impl Core {
     pub(super) fn fetch_phase(&mut self, snapshot: &SmtSnapshot) {
         if self.fetch_frozen {
             // The sampled loop is draining in-flight work before a
             // fast-forward phase: nothing enters the pipeline.
+            self.gated = 0;
             return;
         }
         let cycle = self.cycle;
@@ -18,16 +19,20 @@ impl Core {
         self.policy.fetch_priority(snapshot, &mut priority);
         // Account gated cycles for active threads the policy excluded, via a
         // "selected" bitmask filled in one pass over the priority list
-        // (MAX_THREADS <= 64) instead of an O(threads) scan per thread.
+        // (MAX_THREADS <= 64) instead of an O(threads) scan per thread. The
+        // gated mask is kept: quiescent cycles replay it.
         let mut selected: u64 = 0;
         for t in &priority {
             selected |= 1 << t.index();
         }
-        for ti in 0..self.threads.len() {
-            if self.threads[ti].active && selected & (1 << ti) == 0 {
-                self.stats.thread_mut(ThreadId::new(ti)).fetch_gated_cycles += 1;
+        let mut gated: u64 = 0;
+        for (ti, ctx) in self.threads.iter().enumerate() {
+            if ctx.active && selected & (1 << ti) == 0 {
+                gated |= 1 << ti;
             }
         }
+        self.gated = gated;
+        stats::account_gated(&mut self.stats, gated);
         let mut budget = self.config.fetch_width;
         let mut threads_used = 0;
         let frontend_ready_at = cycle + self.config.frontend_depth as u64;
@@ -78,6 +83,7 @@ impl Core {
                 self.policy.on_fetch(t, SeqNum(seq));
                 budget -= 1;
                 fetched_here += 1;
+                self.progress = true;
                 if predicted_taken {
                     // The fetch group ends at a predicted-taken branch.
                     break;

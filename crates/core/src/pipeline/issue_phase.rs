@@ -1,14 +1,11 @@
-//! Issue phase: pick ready instructions per thread (bitmap candidate scan),
+//! Issue phase: pick ready instructions per thread (ready-bitmap scan),
 //! perform memory accesses, schedule completion events, and hand
 //! long-latency-load detections to the fetch policy.
-
-use std::cmp::Reverse;
 
 use smt_mem::{AccessLevel, SharedLevel};
 use smt_predictors::LongLatencyPredictor;
 use smt_types::{OpKind, SeqNum, ThreadId};
 
-use super::writeback_phase::CompletionEvent;
 use super::Core;
 
 impl Core {
@@ -26,18 +23,18 @@ impl Core {
             if remaining == 0 {
                 break;
             }
-            let ti = (self.rotate + offset) % num_threads;
+            // `rotate + offset < 2 * num_threads`: wrap without a division.
+            let ti = match self.rotate + offset {
+                ti if ti >= num_threads => ti - num_threads,
+                ti => ti,
+            };
             let thread_id = ThreadId::new(ti);
-            // Resume after the settled prefix of already-issued instructions,
-            // then gather this thread's ready-to-issue candidates in one tight
-            // bitmap pass instead of rescanning the (mostly issued, mostly
-            // blocked) window entry by entry.
-            let start = self.threads[ti].window.issue_scan_start();
+            // Gather this thread's ready-to-issue candidates from the ready
+            // bitmap that dispatch and writeback maintain: blocked
+            // instructions are never re-tested.
             let mut candidates = std::mem::take(&mut self.issue_candidates);
             candidates.clear();
-            self.threads[ti]
-                .window
-                .collect_issue_candidates(start, &mut candidates);
+            self.threads[ti].window.ready_candidates(&mut candidates);
             let mut candidate_pos = 0;
             while remaining > 0 && candidate_pos < candidates.len() {
                 let idx = candidates[candidate_pos] as usize;
@@ -58,6 +55,7 @@ impl Core {
                 }
                 *unit -= 1;
                 remaining -= 1;
+                self.progress = true;
 
                 let mut done_at = cycle + op.kind.exec_latency();
                 let mut detected_lll = false;
@@ -126,7 +124,6 @@ impl Core {
                         flags.set_predicted_has_mlp(detection_has_mlp);
                     }
                     let uses_fp_iq = flags.uses_fp_iq();
-                    ctx.window.set_done_at(idx, done_at);
                     if detected_lll {
                         ctx.window
                             .set_predicted_mlp_distance(idx, detection_distance);
@@ -139,11 +136,8 @@ impl Core {
                         self.totals.iq_int -= 1;
                     }
                     ctx.occ.icount -= 1;
-                    self.completions.push(Reverse(CompletionEvent {
-                        done_at,
-                        thread: ti as u32,
-                        seq,
-                    }));
+                    let slot = ctx.window.slot_of(idx);
+                    self.completions.push(done_at, ti, slot, seq);
                 }
 
                 if op.kind == OpKind::Load {

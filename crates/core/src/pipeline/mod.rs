@@ -17,15 +17,34 @@
 //! exactly as the per-cycle step runs them:
 //!
 //! * [`commit_phase`](self) — in-order retirement and LLSR/MLP training,
-//! * [`writeback_phase`](self) — event-driven completion (min-heap),
+//! * [`writeback_phase`](self) — event-driven completion (calendar queue)
+//!   and dependence wakeup,
 //! * [`issue_phase`](self) — ready-instruction selection and memory access,
 //! * [`dispatch_phase`](self) — shared-buffer allocation and resource stalls,
 //! * [`fetch_phase`](self) — policy-prioritized instruction fetch,
 //! * `squash` — branch/flush recovery, `stats` — per-cycle accounting,
 //! * [`adaptive`] — the interval-telemetry collector and runtime
 //!   fetch-policy switching ([`Core::swap_policy`]).
+//!
+//! # Cycle cost
+//!
+//! A simulated cycle costs host time only when the pipeline does something.
+//! Every phase raises a progress flag when it commits, completes, issues,
+//! dispatches, fetches or squashes anything. A full cycle that raises none
+//! leaves the machine exactly as it found it, apart from the per-cycle
+//! counters, so the core records the earliest cycle at which something
+//! clock-driven can change — the next completion event, a front-end
+//! instruction becoming dispatchable, the write buffer's next pending
+//! drain, the next adaptive interval boundary — and until then each cycle
+//! only replays the accounting ([`Core::quiet_cycles`] counts these). This
+//! relies on the fetch-policy contract documented on
+//! [`smt_fetch::FetchPolicy`]; every mutation from outside the cycle loop
+//! (fetch freezing, fast-forward, checkpoint restore, policy swaps,
+//! statistics resets) ends the quiescent stretch. Debug builds run the full
+//! phases under every fast-path cycle and assert they agree.
 
 pub mod adaptive;
+mod calendar;
 pub mod checkpoint;
 mod commit_phase;
 mod dispatch_phase;
@@ -39,18 +58,21 @@ mod thread;
 pub mod window;
 mod writeback_phase;
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use smt_fetch::{build_policy, FetchPolicy, FlushRequest, ResourceCaps};
 use smt_mem::{CoreMemory, SharedLevel, SharedLlc, WriteBuffer};
 use smt_trace::TraceSource;
 use smt_types::{AdaptiveConfig, MachineStats, SimError, SmtConfig, SmtSnapshot, ThreadId};
 
 use adaptive::AdaptiveState;
+use calendar::CompletionQueue;
 use stats::SharedTotals;
 use thread::ThreadContext;
-use writeback_phase::CompletionEvent;
+
+/// Wheel span of the completion calendar, in cycles: wide enough that a
+/// memory-latency miss lands on the wheel directly (under 1% of the
+/// completions of the baseline machine are scheduled further out; those
+/// wait in the calendar's overflow list).
+const COMPLETION_SPAN: usize = 512;
 
 /// Run-length options for a simulation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -116,7 +138,21 @@ pub struct Core {
     /// Shared-resource occupancy totals, updated at every allocate/release.
     totals: SharedTotals,
     /// Pending execution completions, ordered by completion cycle.
-    completions: BinaryHeap<Reverse<CompletionEvent>>,
+    completions: CompletionQueue,
+    /// Set by every phase that commits, completes, issues, dispatches,
+    /// fetches or squashes something in the current cycle.
+    progress: bool,
+    /// Cycles before this one are quiescent: the last full cycle made no
+    /// progress and nothing clock-driven changes until then.
+    quiet_until: u64,
+    /// Threads (bitmask) the fetch policy gated in the last full cycle.
+    gated: u64,
+    /// Cycles that took the quiescent fast path (host-side diagnostic).
+    quiet_cycles: u64,
+    /// Debug builds: scratch copy of the statistics the shadow check
+    /// compares the full phases against.
+    #[cfg(debug_assertions)]
+    shadow_stats: MachineStats,
     /// The adaptive policy engine, when enabled: interval telemetry collector
     /// plus the selector that picks the next interval's fetch policy.
     adaptive: Option<AdaptiveState>,
@@ -171,12 +207,16 @@ impl Core {
             config.write_buffer_entries as usize,
             config.l1d.latency.max(1),
         );
-        let threads = traces
+        let threads: Vec<ThreadContext> = traces
             .into_iter()
             .map(|t| ThreadContext::new(&config, t))
             .collect();
         let frontend_capacity = config.frontend_depth * config.fetch_width;
         let num_threads = config.num_threads;
+        let window_capacity = threads[0].window.capacity();
+        let rob_size = config.rob_size as usize;
+        #[cfg(debug_assertions)]
+        let shadow_stats = stats::shadow_stats(&config);
         Ok(Core {
             stats: MachineStats::new(num_threads),
             snapshot: SmtSnapshot::new(num_threads),
@@ -190,7 +230,18 @@ impl Core {
             rotate: 0,
             frontend_capacity,
             totals: SharedTotals::default(),
-            completions: BinaryHeap::new(),
+            completions: CompletionQueue::new(
+                num_threads,
+                window_capacity,
+                rob_size,
+                COMPLETION_SPAN,
+            ),
+            progress: false,
+            quiet_until: 0,
+            gated: 0,
+            quiet_cycles: 0,
+            #[cfg(debug_assertions)]
+            shadow_stats,
             adaptive: None,
             fetch_frozen: false,
             priority: Vec::with_capacity(num_threads),
@@ -232,11 +283,24 @@ impl Core {
         self.threads.iter().map(|t| t.committed)
     }
 
+    /// Cycles that took the quiescent fast path so far (a host-side
+    /// diagnostic of simulation cost, not part of [`MachineStats`]).
+    pub fn quiet_cycles(&self) -> u64 {
+        self.quiet_cycles
+    }
+
+    /// Ends any quiescent stretch: the next cycle runs every phase. Called
+    /// by every mutation from outside the cycle loop.
+    pub(crate) fn wake(&mut self) {
+        self.quiet_until = 0;
+    }
+
     /// Zeroes all statistics counters without disturbing microarchitectural state.
     pub(crate) fn reset_stats(&mut self) {
         self.stats = MachineStats::new(self.threads.len());
         self.stats_cycle_base = self.cycle;
         self.reset_adaptive_baselines();
+        self.wake();
     }
 
     /// Writes the measured cycle count into the statistics record (the owning
@@ -246,7 +310,37 @@ impl Core {
     }
 
     /// Advances the core by one cycle against the given shared level.
+    ///
+    /// Inside a quiescent stretch (see the module docs) the cycle only
+    /// replays the per-cycle accounting; otherwise every phase runs, and a
+    /// cycle that makes no progress opens a stretch lasting until the
+    /// earliest clock-driven wake-up.
     pub(crate) fn step_against<S: SharedLevel>(&mut self, shared: &mut S) {
+        if self.cycle < self.quiet_until {
+            self.quiet_cycle(shared);
+        } else {
+            self.progress = false;
+            self.run_phases(shared);
+            if !self.progress {
+                self.quiet_until = self.next_wake();
+            }
+        }
+        self.cycle += 1;
+        self.rotate += 1;
+        if self.rotate == self.threads.len() {
+            self.rotate = 0;
+        }
+        // The sanctioned policy-swap point: interval telemetry is published
+        // and the selector consulted only here, at end-of-cycle, after every
+        // phase has run — a pure function of core-local state, so chip
+        // results stay invariant to core stepping order.
+        self.adaptive_interval_tick();
+        #[cfg(debug_assertions)]
+        self.debug_check_invariants();
+    }
+
+    /// Runs every pipeline phase of one cycle, commit to fetch.
+    fn run_phases<S: SharedLevel>(&mut self, shared: &mut S) {
         // Move the reusable buffers out of `self` for the duration of the cycle
         // (a pointer-sized swap, not an allocation) so the phases can borrow
         // them alongside `&mut self`.
@@ -262,18 +356,72 @@ impl Core {
         self.issue_phase(shared);
         self.dispatch_phase(&mut snapshot, caps_apply.then_some(caps.as_slice()));
         self.fetch_phase(&snapshot);
-        self.account_mlp();
-        self.cycle += 1;
-        self.rotate = (self.rotate + 1) % self.threads.len();
+        stats::account_mlp(&mut self.stats, &self.threads);
         self.snapshot = snapshot;
         self.caps = caps;
-        // The sanctioned policy-swap point: interval telemetry is published
-        // and the selector consulted only here, at end-of-cycle, after every
-        // phase has run — a pure function of core-local state, so chip
-        // results stay invariant to core stepping order.
-        self.adaptive_interval_tick();
+    }
+
+    /// One cycle of a quiescent stretch: the full phases would change
+    /// nothing but the fetch-gated and MLP cycle counters, so only those are
+    /// replayed. Debug builds run the full phases anyway and assert that
+    /// they make no progress and leave the statistics exactly as the
+    /// replay would.
+    fn quiet_cycle<S: SharedLevel>(&mut self, shared: &mut S) {
+        self.quiet_cycles += 1;
         #[cfg(debug_assertions)]
-        self.debug_check_totals();
+        {
+            let mut expect = std::mem::take(&mut self.shadow_stats);
+            stats::copy_stats(&mut expect, &self.stats);
+            stats::account_quiet(&mut expect, self.gated, &self.threads);
+            let (rotate, gated) = (self.rotate, self.gated);
+            self.progress = false;
+            self.run_phases(shared);
+            assert!(
+                !self.progress,
+                "cycle {}: the full phases made progress inside a quiescent stretch \
+                 (a missed wake source or a fetch-policy contract violation)",
+                self.cycle
+            );
+            assert_eq!(
+                (&self.stats, self.rotate, self.gated),
+                (&expect, rotate, gated),
+                "cycle {}: the quiescent fast path diverged from the full phases",
+                self.cycle
+            );
+            self.shadow_stats = expect;
+        }
+        #[cfg(not(debug_assertions))]
+        {
+            let _ = shared;
+            stats::account_quiet(&mut self.stats, self.gated, &self.threads);
+        }
+    }
+
+    /// The earliest cycle after a progress-free cycle at which something
+    /// clock-driven can change: a completion event falls due, a front-end
+    /// instruction becomes dispatchable, the write buffer frees an entry, or
+    /// an adaptive interval ends. Everything else only changes when one of
+    /// these (or an outside mutation) does.
+    fn next_wake(&self) -> u64 {
+        let now = self.cycle;
+        let mut wake = self.completions.next_due().unwrap_or(u64::MAX);
+        for ctx in &self.threads {
+            if ctx.occ.frontend > 0 {
+                let ready_at = ctx
+                    .window
+                    .frontend_ready_at(ctx.window.first_undispatched_index());
+                if ready_at > now {
+                    wake = wake.min(ready_at);
+                }
+            }
+        }
+        if let Some(drain) = self.write_buffer.next_pending_drain(now) {
+            wake = wake.min(drain);
+        }
+        if let Some(boundary) = self.next_interval_boundary() {
+            wake = wake.min(boundary);
+        }
+        wake
     }
 }
 

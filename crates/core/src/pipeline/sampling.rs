@@ -53,6 +53,7 @@ impl SmtSimulator {
     /// exposed for tests).
     pub fn freeze_fetch(&mut self, frozen: bool) {
         self.core.fetch_frozen = frozen;
+        self.core.wake();
     }
 
     /// Runs with fetch frozen until the pipeline holds no in-flight work (all

@@ -43,6 +43,11 @@ impl Core {
                 }
                 let flags = ctx.window.flags_at(last);
                 let op = ctx.window.op_at(last);
+                if flags.issued() && !flags.completed() {
+                    // Unlink the pending completion event: the calendar never
+                    // holds events of squashed instructions.
+                    self.completions.remove(ti, ctx.window.slot_of(last));
+                }
                 ctx.window.pop_back();
                 if flags.dispatched() {
                     ctx.occ.rob -= 1;
@@ -92,6 +97,7 @@ impl Core {
             ctx.latest_fetched_seq = ctx.latest_fetched_seq.min(keep_up_to);
         }
         if squashed > 0 {
+            self.progress = true;
             let tstats = self.stats.thread_mut(thread_id);
             match cause {
                 SquashCause::BranchMisprediction => tstats.squashed_by_branch += squashed,

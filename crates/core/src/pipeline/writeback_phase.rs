@@ -1,50 +1,35 @@
-//! Event-driven writeback: completion events pop from a min-heap instead of
-//! the whole window being rescanned each cycle.
-
-use std::cmp::Reverse;
+//! Event-driven writeback: completion events due this cycle pop from the
+//! calendar queue in `(done_at, thread, seq)` order, and each completion
+//! wakes the consumers waiting on it, instead of the whole window being
+//! rescanned each cycle.
 
 use smt_types::{OpKind, SeqNum, ThreadId};
 
 use super::squash::SquashCause;
 use super::Core;
 
-/// A scheduled execution-completion: instruction `seq` of `thread` finishes at
-/// `done_at`. Events are popped from a min-heap when their cycle arrives;
-/// events whose instruction was squashed in the meantime no longer match any
-/// window entry (squashed instructions are re-fetched under fresh sequence
-/// numbers) and are discarded on pop.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub(super) struct CompletionEvent {
-    pub(super) done_at: u64,
-    pub(super) thread: u32,
-    pub(super) seq: u64,
-}
-
 impl Core {
-    /// Event-driven writeback: instead of rescanning every window entry each
-    /// cycle, pop the completion events that are due from the min-heap. Events
-    /// whose instruction was squashed while in flight find no matching sequence
-    /// number (squashed instructions are re-fetched under fresh numbers) and
-    /// are dropped.
+    /// Event-driven writeback: pop the completion events that are due from
+    /// the calendar queue and mark their instructions completed, waking
+    /// their dependants. Squashed instructions unlinked their events, so
+    /// every event names a live instruction by its window slot.
     pub(super) fn writeback_phase(&mut self) {
         let cycle = self.cycle;
         self.mispredicts.fill(None);
-        while let Some(&Reverse(event)) = self.completions.peek() {
-            if event.done_at > cycle {
-                break;
-            }
-            self.completions.pop();
-            let ti = event.thread as usize;
+        while let Some(event) = self.completions.pop_due(cycle) {
+            self.progress = true;
+            let ti = event.thread;
             let ctx = &mut self.threads[ti];
-            let Some(idx) = ctx.window.position_of_seq(event.seq) else {
-                // Stale event: the instruction was squashed after issuing.
-                continue;
-            };
+            let idx = ctx.window.index_of_slot(event.slot);
             let flags = ctx.window.flags_at(idx);
             debug_assert!(
-                flags.issued() && !flags.completed() && ctx.window.done_at(idx) == event.done_at
+                flags.issued() && !flags.completed() && ctx.window.seq_at(idx) == event.seq
             );
-            ctx.window.flags_mut(idx).set_completed(true);
+            debug_assert_eq!(
+                event.done_at, cycle,
+                "completion delivered late: a quiescent stretch overslept its wake-up"
+            );
+            ctx.window.mark_completed(idx);
             let seq = event.seq;
             let was_lll = flags.is_long_latency();
             let was_l1_miss = flags.l1_missed();

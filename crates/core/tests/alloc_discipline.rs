@@ -202,5 +202,34 @@ fn steady_state_cycle_loop_performs_no_heap_allocations() {
             });
         });
     }
+
+    // A clogged four-thread mix: ICOUNT lets mcf's long-latency loads fill
+    // the shared window, so most cycles take the quiescent fast path; the
+    // flush policy breaks the clog and leaves shorter stretches. Entering
+    // and leaving stretches (calendar wake-ups, dependence wake-ups, the
+    // debug shadow check) must stay allocation-free as well.
+    for policy in [FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush] {
+        let config = SmtConfig::baseline(4).with_policy(policy);
+        let scale = smt_core::runner::RunScale::standard();
+        let traces = ["mcf", "swim", "perlbmk", "mesa"]
+            .iter()
+            .map(|b| smt_core::runner::build_trace(b, scale).expect("benchmark trace builds"))
+            .collect();
+        let mut sim = SmtSimulator::new(config, traces).expect("machine builds");
+        let (mut stretches, mut was_quiet) = (0u64, false);
+        let mut last = sim.core().quiet_cycles();
+        assert_zero_alloc_steady_state(&format!("SmtSimulator/4t-mix/{policy:?}"), || {
+            sim.step();
+            let quiet = sim.core().quiet_cycles() != last;
+            last = sim.core().quiet_cycles();
+            stretches += u64::from(quiet && !was_quiet);
+            was_quiet = quiet;
+        });
+        assert!(
+            stretches >= 100,
+            "{policy:?}: only {stretches} quiescent stretches in {} cycles",
+            WARMUP_CYCLES + MEASURED_CYCLES
+        );
+    }
     std::fs::remove_file(&replay_path).ok();
 }

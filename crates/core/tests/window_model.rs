@@ -1,8 +1,10 @@
 //! Model-based tests for the struct-of-arrays instruction window: a naive
 //! `VecDeque`-of-structs reference model is driven through random
 //! fetch/dispatch/issue/complete/commit/squash sequences in lockstep with
-//! [`OpWindow`], asserting identical observable state after every step — plus
-//! a deterministic squash-at-wraparound regression test for the ring buffer.
+//! [`OpWindow`], asserting identical observable state after every step —
+//! including the ready-bitmap issue candidates against the model's naive
+//! rescan — plus a deterministic squash-at-wraparound regression test for the
+//! ring buffer.
 
 use std::collections::VecDeque;
 
@@ -18,7 +20,6 @@ struct RefEntry {
     seq: u64,
     op: TraceOp,
     frontend_ready_at: u64,
-    done_at: u64,
     dispatched: bool,
     issued: bool,
     completed: bool,
@@ -84,7 +85,6 @@ fn assert_same_state(w: &OpWindow, r: &RefWindow) {
         assert_eq!(w.seq_at(i), e.seq, "seq at {i}");
         assert_eq!(w.op_at(i), e.op, "op at {i}");
         assert_eq!(w.frontend_ready_at(i), e.frontend_ready_at, "ready at {i}");
-        assert_eq!(w.done_at(i), e.done_at, "done_at at {i}");
         assert_eq!(w.src_dep_offsets_at(i), e.src_dep_offsets, "deps at {i}");
         let f = w.flags_at(i);
         assert_eq!(f.dispatched(), e.dispatched, "dispatched at {i}");
@@ -93,6 +93,11 @@ fn assert_same_state(w: &OpWindow, r: &RefWindow) {
         assert_eq!(f.mispredicted(), e.mispredicted, "mispredicted at {i}");
         assert_eq!(f.predicted_taken(), e.predicted_taken, "ptaken at {i}");
         assert_eq!(w.deps_ready(i), r.deps_ready(i), "deps_ready at {i}");
+        assert_eq!(
+            w.is_ready(i),
+            e.dispatched && !e.issued && r.deps_ready(i),
+            "ready bit at {i}"
+        );
         assert_eq!(
             w.position_of_seq(e.seq),
             Some(i),
@@ -160,7 +165,6 @@ fn apply(action: Action, w: &mut OpWindow, r: &mut RefWindow, next_seq: &mut u64
                 seq,
                 op,
                 frontend_ready_at: ready_at,
-                done_at: u64::MAX,
                 dispatched: false,
                 issued: false,
                 completed: false,
@@ -186,20 +190,14 @@ fn apply(action: Action, w: &mut OpWindow, r: &mut RefWindow, next_seq: &mut u64
         Action::Issue(param) => {
             let expect = r.issue_candidates();
             let mut got = Vec::new();
-            let start = w.issue_scan_start();
-            w.collect_issue_candidates(start, &mut got);
-            // The scan may resume after an all-issued prefix; candidates below
-            // `start` cannot exist, so the full lists must agree.
+            w.ready_candidates(&mut got);
             assert_eq!(got, expect, "issue candidates diverged");
             if expect.is_empty() {
                 return;
             }
             let idx = expect[(param % expect.len() as u64) as usize] as usize;
             w.mark_issued(idx);
-            w.set_done_at(idx, param % 1024);
-            let e = &mut r.entries[idx];
-            e.issued = true;
-            e.done_at = param % 1024;
+            r.entries[idx].issued = true;
         }
         Action::Complete(param) => {
             let pending: Vec<usize> = (0..r.entries.len())
@@ -210,9 +208,10 @@ fn apply(action: Action, w: &mut OpWindow, r: &mut RefWindow, next_seq: &mut u64
             }
             let idx = pending[(param % pending.len() as u64) as usize];
             let seq = r.entries[idx].seq;
-            // Completion events address instructions by sequence number.
+            // Completion events address instructions by window slot.
             assert_eq!(w.position_of_seq(seq), Some(idx));
-            w.flags_mut(idx).set_completed(true);
+            assert_eq!(w.index_of_slot(w.slot_of(idx)), idx);
+            w.mark_completed(idx);
             r.entries[idx].completed = true;
         }
         Action::Commit(param) => {
@@ -270,7 +269,7 @@ proptest! {
     }
 }
 
-/// The bitmap scan of `collect_issue_candidates` crosses 64-bit word
+/// The ready-bitmap scan of `ready_candidates` crosses 64-bit word
 /// boundaries only in windows larger than one word; pin that path directly
 /// with a production-sized (capacity 128) window, both head-aligned and with
 /// the live region wrapping across the ring's end.
@@ -306,7 +305,7 @@ fn issue_candidates_cross_bitmap_words() {
         let expect = r.issue_candidates();
         assert!(!expect.is_empty());
         let mut got = Vec::new();
-        w.collect_issue_candidates(0, &mut got);
+        w.ready_candidates(&mut got);
         assert_eq!(got, expect, "retire_first={retire_first}");
         assert_same_state(&w, &r);
     }
@@ -325,7 +324,7 @@ fn squash_across_ring_wraparound() {
     for i in 0..6 {
         w.mark_dispatched(i);
         w.mark_issued(i);
-        w.flags_mut(i).set_completed(true);
+        w.mark_completed(i);
     }
     for _ in 0..6 {
         w.pop_front();
@@ -350,13 +349,12 @@ fn squash_across_ring_wraparound() {
     assert_eq!(w.len(), 3);
     let seqs: Vec<u64> = (0..w.len()).map(|i| w.seq_at(i)).collect();
     assert_eq!(seqs, vec![7, 8, 9]);
-    // Cursors clamp to the shortened window: entries 0..3 stay dispatched
-    // (dispatch cursor was at 5, now clamps to 3), and the issue scan resumes
-    // at the unissued survivor (index 1).
+    // The dispatch cursor clamps to the shortened window: entries 0..3 stay
+    // dispatched (the cursor was at 5, now clamps to 3), and the unissued
+    // survivor (index 1) is the one issue candidate.
     assert_eq!(w.first_undispatched_index(), 3);
-    assert_eq!(w.issue_scan_start(), 1);
     let mut candidates = Vec::new();
-    w.collect_issue_candidates(0, &mut candidates);
+    w.ready_candidates(&mut candidates);
     assert_eq!(candidates, vec![1]);
     assert_eq!(w.position_of_seq(9), Some(2));
     assert_eq!(w.position_of_seq(10), None);

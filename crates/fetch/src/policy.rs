@@ -49,6 +49,31 @@ pub struct ResourceCaps {
 /// callbacks in any thread order; policies must not rely on cross-thread
 /// ordering.
 ///
+/// # Quiescence contract
+///
+/// When a simulated cycle commits, completes, issues, dispatches, fetches and
+/// squashes nothing, the pipeline skips the per-cycle queries until the next
+/// clock-driven event (a completion, a front-end instruction becoming
+/// dispatchable, a write-buffer drain, an adaptive interval boundary) and
+/// replays the previous answers instead. That is exact only if every policy
+/// keeps two promises:
+///
+/// * [`fetch_priority`], [`resource_caps`] and [`on_resource_stall`] give the
+///   same result when called again with the same snapshot and no event
+///   callback in between. In particular they never read
+///   [`SmtSnapshot::cycle`], which is the one field that moves during such a
+///   stretch; the `snapshot-clock` rule of `smt-analyze` forbids that read in
+///   this crate and in `smt-adapt`.
+/// * Policy state changes only in the event callbacks (`on_fetch`,
+///   `on_load_predicted`, `on_load_executed_hit`, `on_long_latency_detected`,
+///   `on_long_latency_resolved`, `on_squash`), or when [`on_resource_stall`]
+///   emits a flush. A query may tidy its own state (closing an idle episode,
+///   say) only idempotently: a second call with the same snapshot changes
+///   nothing.
+///
+/// Debug builds check the contract on every skipped cycle: they run the full
+/// pipeline phases anyway and assert that nothing happens.
+///
 /// [`fetch_priority`]: FetchPolicy::fetch_priority
 /// [`on_resource_stall`]: FetchPolicy::on_resource_stall
 /// [`resource_caps`]: FetchPolicy::resource_caps
@@ -201,7 +226,9 @@ pub trait FetchPolicy: Send {
 pub fn icount_order(snapshot: &SmtSnapshot, order: &mut Vec<ThreadId>) {
     order.clear();
     order.extend(ThreadId::all(snapshot.num_threads()));
-    order.sort_by_key(|t| (snapshot.thread(*t).icount, t.index()));
+    // The keys are unique (the thread index breaks every tie), so the
+    // unstable sort yields the stable order without its merge machinery.
+    order.sort_unstable_by_key(|t| (snapshot.thread(*t).icount, t.index()));
 }
 
 /// Applies gating with the continue-oldest-thread exemption: writes the ICOUNT
@@ -263,6 +290,22 @@ mod tests {
             order.iter().map(|t| t.index()).collect::<Vec<_>>(),
             vec![1, 2, 0]
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The unstable sort gives exactly the stable-sort order: the
+        /// `(icount, thread)` keys are unique, so no two elements tie.
+        #[test]
+        fn icount_order_matches_stable_sort(
+            icounts in proptest::prop::collection::vec(0u32..6, 1..9),
+        ) {
+            let s = snapshot_with_icounts(&icounts);
+            let mut stable: Vec<ThreadId> = ThreadId::all(icounts.len()).collect();
+            stable.sort_by_key(|t| (s.thread(*t).icount, t.index()));
+            proptest::prop_assert_eq!(icount_order_vec(&s), stable);
+        }
     }
 
     #[test]

@@ -70,6 +70,18 @@ impl WriteBuffer {
         self.entries.len()
     }
 
+    /// Cycle at which the oldest store still pending at `now` drains, if any:
+    /// the earliest cycle after `now` at which a full buffer frees an entry.
+    ///
+    /// Read-only: entries drain lazily, so stores that drained at or before
+    /// `now` may still be held until the next push; they are skipped here,
+    /// not removed.
+    pub fn next_pending_drain(&self, now: u64) -> Option<u64> {
+        // Stores drain one after another, so completion cycles are sorted.
+        let drained = self.entries.partition_point(|&done| done <= now);
+        self.entries.get(drained).copied()
+    }
+
     /// Total stores accepted.
     pub fn total_stores(&self) -> u64 {
         self.total_stores
@@ -110,6 +122,24 @@ mod tests {
         assert_eq!(wb.occupancy(201), 1); // the 150 push drains at 300
         assert_eq!(wb.occupancy(301), 0);
         assert_eq!(wb.total_stores(), 3);
+    }
+
+    #[test]
+    fn next_pending_drain_ignores_drained_entries() {
+        let mut wb = WriteBuffer::new(4, 10);
+        assert_eq!(wb.next_pending_drain(0), None);
+        wb.try_push(0); // done at 10
+        wb.try_push(0); // done at 20
+        wb.try_push(0); // done at 30
+        assert_eq!(wb.next_pending_drain(0), Some(10));
+        // The first two have drained by cycle 20 but stay buffered until the
+        // next push; the query must skip them.
+        assert_eq!(wb.next_pending_drain(20), Some(30));
+        assert_eq!(wb.next_pending_drain(30), None);
+        // The query drains nothing: occupancy still sees the lingering entries
+        // until it drains them itself.
+        assert_eq!(wb.next_pending_drain(9), Some(10));
+        assert_eq!(wb.occupancy(20), 1);
     }
 
     #[test]

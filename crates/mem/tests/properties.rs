@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use smt_mem::{MemoryHierarchy, MshrFile, SetAssocCache, Tlb};
+use smt_mem::{MemoryHierarchy, MshrFile, SetAssocCache, Tlb, WriteBuffer};
 use smt_types::config::{CacheConfig, TlbConfig};
 use smt_types::{SmtConfig, ThreadId};
 
@@ -89,5 +89,35 @@ proptest! {
         prop_assert!(second.latency >= 1);
         prop_assert!(second.latency <= first.latency);
         prop_assert!(!second.long_latency);
+    }
+
+    /// `next_pending_drain` reports the earliest completion cycle strictly
+    /// after `now` among every store the buffer ever accepted — drained
+    /// entries that linger until the next push never count — and the query
+    /// itself changes nothing the buffer later reports.
+    #[test]
+    fn write_buffer_next_pending_drain_ignores_drained(
+        capacity in 1usize..6,
+        latency in 1u64..8,
+        steps in prop::collection::vec((0u64..6, any::<bool>()), 1..120),
+    ) {
+        let mut wb = WriteBuffer::new(capacity, latency);
+        let mut accepted: Vec<u64> = Vec::new();
+        let mut now = 0u64;
+        for (advance, push) in steps {
+            now += advance;
+            let expect = accepted.iter().copied().filter(|&d| d > now).min();
+            prop_assert_eq!(wb.next_pending_drain(now), expect);
+            if push {
+                let before = wb.total_stores();
+                if wb.try_push(now) {
+                    let done = accepted.last().copied().unwrap_or(now).max(now) + latency;
+                    accepted.push(done);
+                    prop_assert_eq!(wb.total_stores(), before + 1);
+                }
+            }
+            let pending = accepted.iter().filter(|&&d| d > now).count();
+            prop_assert_eq!(wb.occupancy(now), pending);
+        }
     }
 }

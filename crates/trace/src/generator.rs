@@ -14,7 +14,7 @@
 //! the profile's `prefetch_friendliness`.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use smt_types::{OpKind, TraceOp};
 
@@ -274,6 +274,56 @@ impl SyntheticTraceGenerator {
         TraceOp::load(pc, addr)
     }
 
+    /// Advances the generator past one instruction without building it: the
+    /// same random draws and cursor moves as [`Self::gen_op`], without the
+    /// address, PC and dependence arithmetic that only shapes the discarded
+    /// op. Sampled simulation skips most of a long budget this way.
+    fn skip_op(&mut self) {
+        self.seq += 1;
+        if self.burst_remaining > 0 {
+            if self.next_miss_in == 0 {
+                self.burst_remaining -= 1;
+                self.next_miss_in = self.burst_gap;
+                self.long_latency_load();
+                return;
+            }
+            self.next_miss_in -= 1;
+        } else if self.gap_to_next_burst == 0 {
+            if self.profile.lll_per_kinst > 0.0 {
+                self.start_burst();
+            } else {
+                self.gap_to_next_burst = u64::MAX;
+            }
+        } else {
+            self.gap_to_next_burst -= 1;
+        }
+        let roll: f64 = self.rng.gen();
+        let p = &self.profile;
+        if roll < p.load_fraction + p.store_fraction {
+            // Hit load or store: the static-PC slot, the hot or warm address,
+            // the dependence distance.
+            self.rng.next_u64();
+            if self.rng.gen_bool(self.profile.l2_fraction) {
+                self.rng.next_u64();
+            } else {
+                self.hot_cursor = self.hot_cursor.wrapping_add(1);
+            }
+            self.rng.next_u64();
+        } else if roll < p.load_fraction + p.store_fraction + p.branch_fraction {
+            self.branch_cursor = (self.branch_cursor + 1) % self.branch_bias.len();
+            if self.rng.gen_bool(self.profile.branch_randomness) {
+                self.rng.next_u64();
+            }
+        } else {
+            self.alu_pc_cursor = (self.alu_pc_cursor + 1) % 2048;
+            // The FP draw, then the FP-long or integer-multiply draw, then the
+            // dependence distance.
+            self.rng.next_u64();
+            self.rng.next_u64();
+            self.rng.next_u64();
+        }
+    }
+
     /// Generates the next dynamic instruction. This is the monomorphic core
     /// shared by [`TraceSource::next_op`] and the natively batched
     /// [`TraceSource::refill`].
@@ -323,6 +373,12 @@ impl TraceSource for SyntheticTraceGenerator {
         buf.reserve(n);
         for _ in 0..n {
             buf.push(self.gen_op());
+        }
+    }
+
+    fn skip(&mut self, n: u64) {
+        for _ in 0..n {
+            self.skip_op();
         }
     }
 
@@ -406,6 +462,34 @@ mod tests {
         let mut b = gen_for("mcf", 7);
         for _ in 0..10_000 {
             assert_eq!(a.next_op(), b.next_op());
+        }
+    }
+
+    #[test]
+    fn skip_matches_generate_and_discard() {
+        // The specialised skip must leave every benchmark's generator in
+        // exactly the state generating and discarding the same ops would,
+        // across burst boundaries and both burst kinds.
+        for profile in spec::all_benchmarks() {
+            for seed in [1, 42] {
+                for n in [0, 1, 17, 1_000, 50_000] {
+                    let mut skipped = SyntheticTraceGenerator::new(profile.clone(), seed);
+                    let mut generated = SyntheticTraceGenerator::new(profile.clone(), seed);
+                    skipped.skip(n);
+                    for _ in 0..n {
+                        generated.next_op();
+                    }
+                    assert_eq!(
+                        skipped.save_state(),
+                        generated.save_state(),
+                        "{} seed {seed} skip {n}",
+                        profile.name
+                    );
+                    for _ in 0..200 {
+                        assert_eq!(skipped.next_op(), generated.next_op());
+                    }
+                }
+            }
         }
     }
 
