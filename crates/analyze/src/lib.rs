@@ -26,10 +26,9 @@
 //!   counters or cycle accounting: warming must be invisible to everything
 //!   the measure windows report;
 //! * **sync-discipline** — simulation state is single-owner: locks, atomics,
-//!   interior mutability and `unsafe` live only in the sanctioned chip
-//!   worker-pool module (`crates/core/src/chip/parallel.rs`) and the
-//!   host-side harness files, and frozen read views expose only `&self`
-//!   methods;
+//!   interior mutability and `unsafe` live only in the host-side harness
+//!   files (`crates/core/src/experiments/`, `runner.rs`, `throughput.rs`),
+//!   and frozen read views expose only `&self` methods;
 //! * **snapshot-clock** — fetch policies and adaptive selectors
 //!   (`crates/fetch`, `crates/adapt`) never read `SmtSnapshot::cycle`: the
 //!   pipeline's quiescent fast path skips their per-cycle queries while only

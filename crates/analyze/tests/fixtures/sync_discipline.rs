@@ -1,7 +1,7 @@
 //! Fixture: sync-discipline. Fed to the analyzer under a simulation-crate
 //! path; never compiled. Synchronization primitives, interior mutability
-//! and `unsafe` are forbidden outside the chip worker-pool module, and
-//! frozen read views must stay `&self`.
+//! and `unsafe` are forbidden outside the host harness, and frozen read
+//! views must stay `&self`.
 
 use std::sync::Mutex; // line 6: lock type
 use std::sync::atomic::AtomicU64; // line 7: the Atomic* family

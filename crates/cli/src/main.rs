@@ -24,7 +24,7 @@ use smt_core::throughput::{
     self, BenchOptions, ThroughputReport, ThroughputTrajectory, BASELINE_SCENARIO,
 };
 use smt_core::SimCheckpoint;
-use smt_types::{RunHealthStatus, SimError, SmtConfig};
+use smt_types::{RunHealthStatus, SmtConfig};
 
 use args::{
     BenchArgs, CheckpointCmd, CheckpointSaveArgs, Command, OutputFormat, RunArgs, TraceCmd,
@@ -252,7 +252,6 @@ fn execute_bench(bench: BenchArgs) -> Result<(), String> {
     opts.extra_chip_cores = bench.cores;
     opts.adaptive_selector = bench.selector;
     opts.adaptive_interval = bench.interval;
-    opts.chip_threads = bench.chip_threads;
     // Load the baseline up front: a missing or malformed file must fail before
     // the (minutes-long) measurement, not after it. Both the trajectory schema
     // and the legacy single-report schema are accepted; the latest entry is
@@ -392,9 +391,7 @@ fn load_spec(target: &str) -> Result<ExperimentSpec, String> {
     }
     let text = std::fs::read_to_string(target)
         .map_err(|e| format!("cannot read spec file `{target}`: {e}"))?;
-    let spec: ExperimentSpec = toml::from_str(&text)
-        .map_err(|e| SimError::invalid_config(format!("spec file `{target}`: {e}")).to_string())?;
-    Ok(spec)
+    ExperimentSpec::from_toml(&text).map_err(|e| format!("spec file `{target}`: {e}"))
 }
 
 /// Loads and validates a fault plan from a TOML file (`--fault-plan`).
@@ -430,18 +427,6 @@ fn execute(run: RunArgs) -> Result<ExitCode, String> {
             None => {
                 return Err(format!(
                     "`--cores` only applies to chip_grid specs; `{}` is a `{}` experiment",
-                    spec.name,
-                    spec.kind.name()
-                ))
-            }
-        }
-    }
-    if let Some(chip_threads) = run.chip_threads {
-        match spec.chip.as_mut() {
-            Some(chip) => chip.chip_threads = Some(chip_threads),
-            None => {
-                return Err(format!(
-                    "`--chip-threads` only applies to chip_grid specs; `{}` is a `{}` experiment",
                     spec.name,
                     spec.kind.name()
                 ))

@@ -1344,7 +1344,6 @@ mod tests {
                 ],
                 bus_bytes_per_cycle: 16,
                 shared_llc: None,
-                chip_threads: None,
             }),
             adaptive: None,
             resilience: None,

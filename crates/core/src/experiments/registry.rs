@@ -198,7 +198,6 @@ impl ExperimentRegistry {
                     allocations: vec![AllocationPolicyKind::RoundRobin],
                     bus_bytes_per_cycle: 16,
                     shared_llc: None,
-                chip_threads: None,
                 }),
             ),
             grid(
@@ -283,7 +282,6 @@ fn chip_grid(
             allocations: AllocationPolicyKind::ALL.to_vec(),
             bus_bytes_per_cycle: 16,
             shared_llc: None,
-            chip_threads: None,
         }),
         adaptive: None,
         resilience: None,

@@ -215,10 +215,6 @@ pub struct ChipSpec {
     /// Shared LLC geometry; defaults to the Table IV L3 of the core
     /// configuration when absent.
     pub shared_llc: Option<CacheConfig>,
-    /// Worker threads stepping cores within a chip cycle (default 1 =
-    /// serial). Purely a host-side throughput knob: grid results are
-    /// bit-for-bit identical at any value.
-    pub chip_threads: Option<usize>,
 }
 
 /// Adaptive-engine parameters of an [`ExperimentKind::AdaptiveGrid`]
@@ -426,6 +422,18 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
+    /// Parses a spec from its TOML form, as written by `smt-cli describe`.
+    /// The spec is not validated; see [`ExperimentSpec::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for malformed TOML, a value of the
+    /// wrong type, or a key no table declares (every spec table denies
+    /// unknown fields); the message names the offending field.
+    pub fn from_toml(text: &str) -> Result<Self, SimError> {
+        toml::from_str(text).map_err(|e| SimError::invalid_config(e.to_string()))
+    }
+
     /// The sweep values to evaluate: the sweep's values, or a single `None`
     /// for unswept experiments.
     pub fn sweep_points(&self) -> Vec<Option<u64>> {
@@ -473,7 +481,6 @@ impl ExperimentSpec {
                 bytes_per_cycle: chip.bus_bytes_per_cycle,
             },
             core,
-            chip_threads: chip.chip_threads,
         }
     }
 
@@ -827,7 +834,6 @@ mod tests {
                 ],
                 bus_bytes_per_cycle: 16,
                 shared_llc: None,
-                chip_threads: None,
             }),
             adaptive: None,
             resilience: None,
@@ -875,6 +881,24 @@ mod tests {
             .to_string();
         assert!(err.contains("unknown_knob"), "{err}");
         assert!(err.contains("ExperimentSpec"), "{err}");
+    }
+
+    /// A key the `[chip]` table no longer declares fails to parse with a
+    /// typed error naming it: specs written for the removed intra-chip
+    /// worker pool set its worker count there.
+    #[test]
+    fn retired_chip_key_is_rejected_by_name() {
+        let key = "chip_threads";
+        let valid = toml::to_string(&sample_chip_spec()).unwrap();
+        assert!(ExperimentSpec::from_toml(&valid).is_ok());
+        let text = valid.replace("[chip]\n", &format!("[chip]\n{key} = 2\n"));
+        assert_ne!(text, valid);
+        let err = ExperimentSpec::from_toml(&text).unwrap_err();
+        let SimError::InvalidConfig { reason } = &err else {
+            panic!("expected InvalidConfig, got {err:?}");
+        };
+        assert!(reason.contains(key), "{reason}");
+        assert!(reason.contains("ChipSpec"), "{reason}");
     }
 
     #[test]

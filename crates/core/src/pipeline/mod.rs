@@ -5,7 +5,8 @@
 //! fetch → (14-stage front end) → dispatch → issue → execute → commit pipeline with
 //! the shared resources of Table IV (256-entry ROB, 128-entry LSQ, 64-entry issue
 //! queues, 100+100 rename registers, 4-wide everywhere). The fetch stage is driven
-//! by an [`smt_fetch::FetchPolicy`]; loads access the [`smt_mem::MemoryHierarchy`];
+//! by an [`smt_fetch::FetchPolicy`]; loads access the core's private
+//! [`smt_mem::CoreMemory`] levels, which miss into a [`smt_mem::SharedLevel`];
 //! long-latency loads feed the LLSR/MLP predictors of [`smt_predictors`].
 //!
 //! Per-thread in-flight instructions live in a struct-of-arrays ring buffer

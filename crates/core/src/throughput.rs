@@ -14,7 +14,7 @@
 
 use std::time::Instant; // analyze: allow(determinism) reason="wall-clock timing of the benchmark harness itself, not simulated state"
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use smt_types::adaptive::{AdaptiveConfig, SelectorKind};
 use smt_types::config::FetchPolicyKind;
 use smt_types::{SimError, SmtConfig};
@@ -25,9 +25,23 @@ use crate::pipeline::{SimOptions, SmtSimulator};
 use crate::runner::{build_trace, RunScale};
 use smt_types::{ChipConfig, MachineStats, SamplingConfig};
 
-/// Version of one report's schema. Bump only when a field is removed or
-/// changes meaning; additions keep the version.
+/// Version of one report's schema. Bump only when a required field is
+/// removed or a field changes meaning; adding or retiring an optional field
+/// keeps the version.
 pub const SCHEMA_VERSION: u32 = 1;
+
+/// Optional scenario keys that older trajectory entries carry but the
+/// current schema has retired. Reading drops them, so old entries stay
+/// loadable while `deny_unknown_fields` still rejects any other unknown key;
+/// re-saving a trajectory writes the entries without them. The one key
+/// recorded the worker count of the removed intra-chip worker pool on chip
+/// rows.
+const RETIRED_SCENARIO_KEYS: [&str; 1] = ["chip_threads"];
+
+/// Scenario names that older trajectory entries record but the matrix no
+/// longer measures. `4c2t_mix_chipthreads` timed the removed intra-chip
+/// worker pool; `4c2t_mix_icount` times the same workload serially.
+pub const RETIRED_SCENARIOS: [&str; 1] = ["4c2t_mix_chipthreads"];
 
 /// Version of the on-disk `BENCH_throughput.json` trajectory schema
 /// (an array of dated report entries; version 1 was a single overwritten
@@ -71,10 +85,6 @@ pub struct BenchScenario {
     /// [`smt_trace::FileTraceSource`] versus the same stream regenerated by
     /// the synthetic generator, both pulled in engine-sized refill batches.
     pub ingest: bool,
-    /// Chip rows: worker threads stepping the chip's cores (1 = serial
-    /// loop). Parallel rows exist to measure the pool's speedup on the same
-    /// workload as a serial row — simulated results are bit-for-bit equal.
-    pub chip_threads: usize,
 }
 
 /// The benchmark pool chip rows draw from (2 threads per core, core-major).
@@ -111,7 +121,6 @@ pub fn chip_scenario(cores: usize) -> Result<BenchScenario, SimError> {
         selector: None,
         sampled: false,
         ingest: false,
-        chip_threads: 1,
     })
 }
 
@@ -130,7 +139,6 @@ pub fn adaptive_scenario(selector: Option<SelectorKind>) -> BenchScenario {
         selector: Some(selector.unwrap_or(SelectorKind::Sampling)),
         sampled: false,
         ingest: false,
-        chip_threads: 1,
     }
 }
 
@@ -147,7 +155,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "1t_mlp_icount",
@@ -157,7 +164,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "2t_ilp_icount",
@@ -167,7 +173,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "2t_mlp_icount",
@@ -177,7 +182,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "2t_mlp_mlpflush",
@@ -187,7 +191,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "4t_ilp_icount",
@@ -197,7 +200,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "4t_mix_icount",
@@ -207,7 +209,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "4t_mix_mlpflush",
@@ -217,7 +218,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         BenchScenario {
             name: "4t_mlp_mlpflush",
@@ -227,7 +227,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         },
         // The same workload as `4t_mlp_mlpflush` in sampled mode at ten
         // times the budget: its wall-clock and instrs/s columns sit next to
@@ -240,23 +239,10 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
             selector: None,
             sampled: true,
             ingest: false,
-            chip_threads: 1,
         },
     ];
     matrix.push(chip_scenario(2).expect("2-core chip scenario is always valid"));
-    // The serial 4-core chip row's workload stepped by a 2-worker pool: the
-    // wall-clock delta between this row and a serial `--cores 4` run is the
-    // standing measurement of what intra-chip parallelism buys.
-    matrix.push(BenchScenario {
-        name: "4c2t_mix_chipthreads",
-        benchmarks: &CHIP_MIX[..8],
-        policy: FetchPolicyKind::Icount,
-        cores: 4,
-        selector: None,
-        sampled: false,
-        ingest: false,
-        chip_threads: 2,
-    });
+    matrix.push(chip_scenario(4).expect("4-core chip scenario is always valid"));
     matrix.push(adaptive_scenario(None));
     // Raw ingestion row: `.smtt` replay versus synthetic regeneration of the
     // same stream, in ops/sec. No machine is simulated; the row pins the
@@ -270,7 +256,6 @@ pub fn scenario_matrix() -> Vec<BenchScenario> {
         selector: None,
         sampled: false,
         ingest: true,
-        chip_threads: 1,
     });
     matrix
 }
@@ -294,9 +279,6 @@ pub struct BenchOptions {
     /// Interval-length override in cycles for the adaptive matrix row
     /// (`smt-cli bench --interval`).
     pub adaptive_interval: Option<u64>,
-    /// Worker-thread override for every chip row (`smt-cli bench
-    /// --chip-threads`); `None` keeps each scenario's own setting.
-    pub chip_threads: Option<usize>,
 }
 
 impl BenchOptions {
@@ -309,7 +291,6 @@ impl BenchOptions {
             extra_chip_cores: None,
             adaptive_selector: None,
             adaptive_interval: None,
-            chip_threads: None,
         }
     }
 
@@ -322,7 +303,6 @@ impl BenchOptions {
             extra_chip_cores: None,
             adaptive_selector: None,
             adaptive_interval: None,
-            chip_threads: None,
         }
     }
 }
@@ -350,9 +330,6 @@ pub struct ScenarioResult {
     /// Adaptive rows: the policy selector used (`None` for static rows and
     /// pre-adaptive reports).
     pub selector: Option<SelectorKind>,
-    /// Chip rows: worker threads that stepped the cores (`None` for
-    /// single-core rows and pre-parallelism reports).
-    pub chip_threads: Option<usize>,
     /// Instruction budget per thread.
     pub instructions_per_thread: u64,
     /// Simulated cycles of one run (identical across repetitions).
@@ -480,12 +457,18 @@ impl ThroughputReport {
                 new_only.join(", ")
             ));
         }
-        let base_only: Vec<&str> = baseline
+        let (retired, base_only): (Vec<&str>, Vec<&str>) = baseline
             .scenarios
             .iter()
             .filter(|s| self.scenario(&s.name).is_none())
             .map(|s| s.name.as_str())
-            .collect();
+            .partition(|name| RETIRED_SCENARIOS.contains(name));
+        if !retired.is_empty() {
+            warnings.push(format!(
+                "baseline scenario(s) retired from the matrix (skipped in the comparison): {}",
+                retired.join(", ")
+            ));
+        }
         if !base_only.is_empty() {
             warnings.push(format!(
                 "baseline scenario(s) not measured in this run (skipped in the comparison): {}",
@@ -595,21 +578,27 @@ impl ThroughputTrajectory {
 
     /// Parses a trajectory from JSON, migrating the legacy schema (a single
     /// overwritten [`ThroughputReport`]) into a one-entry trajectory dated
-    /// `"unknown"`.
+    /// `"unknown"`. Retired scenario keys of older entries are dropped.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the text is neither a
     /// trajectory nor a legacy report.
     pub fn from_json(text: &str) -> Result<Self, SimError> {
-        if let Ok(trajectory) = serde_json::from_str::<ThroughputTrajectory>(text) {
-            return Ok(trajectory);
-        }
-        let legacy = ThroughputReport::from_json(text).map_err(|e| {
+        let invalid = |e: serde::Error| {
             SimError::invalid_config(format!(
                 "neither a throughput trajectory nor a legacy report: {e}"
             ))
-        })?;
+        };
+        let mut value: Value = serde_json::from_str(text).map_err(invalid)?;
+        drop_retired_scenario_keys(&mut value);
+        let is_trajectory = value
+            .as_map()
+            .is_some_and(|fields| fields.iter().any(|(key, _)| key == "entries"));
+        if is_trajectory {
+            return serde_json::from_value(&value).map_err(invalid);
+        }
+        let legacy = serde_json::from_value::<ThroughputReport>(&value).map_err(invalid)?;
         let mut trajectory = Self::new();
         trajectory.push("unknown", legacy);
         Ok(trajectory)
@@ -638,6 +627,29 @@ impl ThroughputTrajectory {
     /// against.
     pub fn latest(&self) -> Option<&ThroughputReport> {
         self.entries.last().map(|e| &e.report)
+    }
+}
+
+/// Removes [`RETIRED_SCENARIO_KEYS`] from every row of every `scenarios`
+/// list in a parsed trajectory or report.
+fn drop_retired_scenario_keys(value: &mut Value) {
+    match value {
+        Value::Map(fields) => {
+            for (key, child) in fields {
+                match child {
+                    Value::Seq(rows) if key == "scenarios" => {
+                        for row in rows {
+                            if let Value::Map(row) = row {
+                                row.retain(|(k, _)| !RETIRED_SCENARIO_KEYS.contains(&k.as_str()));
+                            }
+                        }
+                    }
+                    _ => drop_retired_scenario_keys(child),
+                }
+            }
+        }
+        Value::Seq(items) => items.iter_mut().for_each(drop_retired_scenario_keys),
+        _ => {}
     }
 }
 
@@ -695,13 +707,6 @@ pub fn prepare_scenario(
     Ok((sim, options))
 }
 
-/// Worker threads a chip scenario will step its cores on: the
-/// `--chip-threads` override when given, the scenario's own setting
-/// otherwise (1 = serial loop). The simulator clamps to the core count.
-fn effective_chip_threads(scenario: &BenchScenario, opts: &BenchOptions) -> usize {
-    opts.chip_threads.unwrap_or(scenario.chip_threads).max(1)
-}
-
 /// Builds a ready-to-run chip simulator for a `cores > 1` scenario,
 /// dealing the benchmark list out over the cores core-major.
 fn prepare_chip_scenario(
@@ -715,9 +720,7 @@ fn prepare_chip_scenario(
         ));
     }
     let threads_per_core = scenario.benchmarks.len() / cores;
-    let config = ChipConfig::baseline(cores, threads_per_core)
-        .with_policy(scenario.policy)
-        .with_chip_threads(effective_chip_threads(scenario, opts));
+    let config = ChipConfig::baseline(cores, threads_per_core).with_policy(scenario.policy);
     let scale = RunScale::standard().with_instructions(opts.instructions_per_thread);
     let traces = scenario
         .benchmarks
@@ -795,7 +798,6 @@ pub fn run_scenario(
         policy: scenario.policy,
         cores: Some(scenario.cores),
         selector: scenario.selector,
-        chip_threads: (scenario.cores > 1).then(|| effective_chip_threads(scenario, opts)),
         instructions_per_thread: opts.instructions_per_thread,
         simulated_cycles: stats.cycles,
         committed_instructions: committed,
@@ -856,7 +858,6 @@ fn run_sampled_scenario(
         policy: scenario.policy,
         cores: Some(scenario.cores),
         selector: scenario.selector,
-        chip_threads: None,
         instructions_per_thread: budget,
         simulated_cycles: detailed_cycles,
         committed_instructions: committed,
@@ -1036,7 +1037,6 @@ fn run_ingest_scenario(
         policy: scenario.policy,
         cores: Some(scenario.cores),
         selector: None,
-        chip_threads: None,
         instructions_per_thread: ops,
         simulated_cycles: 0,
         committed_instructions: ops,
@@ -1137,11 +1137,11 @@ mod tests {
             matrix.iter().any(|s| s.ingest),
             "matrix must contain a trace-ingestion row"
         );
-        let pooled = matrix
+        let four_core = matrix
             .iter()
-            .find(|s| s.chip_threads > 1)
-            .expect("matrix must contain a parallel chip row");
-        assert_eq!((pooled.name, pooled.cores), ("4c2t_mix_chipthreads", 4));
+            .find(|s| s.cores == 4)
+            .expect("matrix must contain a 4-core chip row");
+        assert_eq!(four_core.name, "4c2t_mix_icount");
         let mut names: Vec<_> = matrix.iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
@@ -1158,7 +1158,6 @@ mod tests {
             selector: None,
             sampled: false,
             ingest: false,
-            chip_threads: 1,
         };
         let result = run_scenario(&scenario, &tiny_opts()).unwrap();
         assert!(result.simulated_cycles > 0);
@@ -1223,7 +1222,6 @@ mod tests {
                 selector: None,
                 sampled: false,
                 ingest: false,
-                chip_threads: 1,
             },
             &tiny_opts(),
         )
@@ -1243,28 +1241,10 @@ mod tests {
         let result = run_scenario(&scenario, &tiny_opts()).unwrap();
         assert_eq!(result.cores, Some(2));
         assert_eq!(result.threads, 4);
-        assert_eq!(result.chip_threads, Some(1));
         assert!(result.simulated_cycles > 0);
         assert!(result.cycles_per_second > 0.0);
         assert!(chip_scenario(1).is_err());
         assert!(chip_scenario(9).is_err());
-    }
-
-    /// The `--chip-threads` override reaches the simulator and the report,
-    /// and the pooled row simulates the exact machine the serial row does.
-    #[test]
-    fn chip_threads_override_is_recorded_and_bit_for_bit() {
-        let scenario = chip_scenario(2).unwrap();
-        let serial = run_scenario(&scenario, &tiny_opts()).unwrap();
-        let opts = BenchOptions {
-            chip_threads: Some(2),
-            ..tiny_opts()
-        };
-        let pooled = run_scenario(&scenario, &opts).unwrap();
-        assert_eq!(pooled.chip_threads, Some(2));
-        assert_eq!(pooled.simulated_cycles, serial.simulated_cycles);
-        assert_eq!(pooled.committed_instructions, serial.committed_instructions);
-        assert_eq!(pooled.total_ipc, serial.total_ipc);
     }
 
     #[test]
@@ -1290,7 +1270,6 @@ mod tests {
                     selector: None,
                     sampled: false,
                     ingest: false,
-                    chip_threads: 1,
                 },
                 &opts,
             )
@@ -1312,6 +1291,55 @@ mod tests {
         assert_eq!(migrated.entries[0].date, "unknown");
         assert_eq!(migrated.latest().unwrap(), &report);
         assert!(ThroughputTrajectory::from_json("{]").is_err());
+    }
+
+    /// The checked-in trajectory loads through the loader `smt-cli bench
+    /// --baseline` uses, although its older entries carry retired scenario
+    /// keys. Those keys are dropped on read; any other unknown key is still
+    /// rejected.
+    #[test]
+    fn checked_in_trajectory_loads_and_drops_only_retired_keys() {
+        let text = include_str!("../../../BENCH_throughput.json");
+        let trajectory = ThroughputTrajectory::from_json(text).expect("checked-in trajectory");
+        let latest = trajectory.latest().expect("at least one entry");
+        assert!(latest.scenario(BASELINE_SCENARIO).is_some());
+
+        let json = trajectory.to_json().unwrap();
+        let row = format!("\"name\": \"{BASELINE_SCENARIO}\",");
+        for retired in RETIRED_SCENARIO_KEYS {
+            let with_key = json.replacen(&row, &format!("{row} \"{retired}\": 2,"), 1);
+            assert_ne!(with_key, json);
+            assert_eq!(
+                ThroughputTrajectory::from_json(&with_key).unwrap(),
+                trajectory
+            );
+        }
+        let unknown = json.replacen(&row, &format!("{row} \"chip_workers\": 2,"), 1);
+        let err = ThroughputTrajectory::from_json(&unknown).unwrap_err();
+        assert!(err.to_string().contains("chip_workers"), "{err}");
+    }
+
+    /// A baseline row the matrix retired is reported as retired, not as a
+    /// row this run failed to measure.
+    #[test]
+    fn retired_baseline_scenarios_are_named_as_retired() {
+        let text = include_str!("../../../BENCH_throughput.json");
+        let mut current = ThroughputTrajectory::from_json(text)
+            .unwrap()
+            .latest()
+            .unwrap()
+            .clone();
+        current
+            .scenarios
+            .retain(|s| !RETIRED_SCENARIOS.contains(&s.name.as_str()));
+        let mut baseline = current.clone();
+        let mut retired = baseline.scenarios[0].clone();
+        retired.name = RETIRED_SCENARIOS[0].to_string();
+        baseline.scenarios.push(retired);
+        let warnings = current.scenario_set_warnings(&baseline);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("retired"), "{warnings:?}");
+        assert!(warnings[0].contains(RETIRED_SCENARIOS[0]), "{warnings:?}");
     }
 
     #[test]
@@ -1337,7 +1365,6 @@ mod tests {
                     selector: None,
                     sampled: false,
                     ingest: false,
-                    chip_threads: 1,
                 },
                 &opts,
             )

@@ -5,10 +5,9 @@
 //! [`CoreMemory`] owns everything private to one SMT core: L1I/L1D, the
 //! private L2, both TLBs, the stream-buffer prefetcher, and the per-thread
 //! long-latency serialization state. Every access that misses the private
-//! levels is presented to a [`SharedLlc`] borrowed from the caller — the
-//! single-core machine owns one exclusively (via the [`MemoryHierarchy`]
-//! facade, which preserves the pre-split API bit-for-bit), while a chip
-//! passes the same shared level to all of its cores each cycle.
+//! levels is presented to a shared level borrowed from the caller — the
+//! single-core machine owns one exclusively, while a chip passes the same
+//! shared level to all of its cores each cycle.
 
 use serde::{Deserialize, Serialize};
 use smt_types::{SmtConfig, ThreadId};
@@ -16,7 +15,7 @@ use smt_types::{SmtConfig, ThreadId};
 use crate::cache::{CacheState, SetAssocCache};
 use crate::mshr::MshrOutcome;
 use crate::prefetch::{PrefetcherState, StreamBufferPrefetcher};
-use crate::shared::{SharedLevel, SharedLlc};
+use crate::shared::SharedLevel;
 use crate::tlb::{TlbFile, TlbFileState};
 
 /// Deepest level that had to service a data access.
@@ -425,94 +424,30 @@ impl CoreMemory {
     }
 }
 
-/// The fused single-core memory hierarchy of Table IV: one core's private
-/// levels plus an exclusively owned shared level. This facade preserves the
-/// pre-split API (and behaviour, bit for bit) for the single-core machine
-/// and for tests; the chip simulator composes [`CoreMemory`] and
-/// [`SharedLlc`] directly instead.
-#[derive(Clone, Debug)]
-pub struct MemoryHierarchy {
-    core: CoreMemory,
-    shared: SharedLlc,
-}
-
-impl MemoryHierarchy {
-    /// Builds the hierarchy described by `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration does not validate.
-    pub fn new(config: &SmtConfig) -> Self {
-        MemoryHierarchy {
-            core: CoreMemory::new(config, 0),
-            shared: SharedLlc::single_core(config),
-        }
-    }
-
-    /// Performs a data load issued by the static load at `pc` at `cycle` and
-    /// returns its timing/classification.
-    pub fn load_access(
-        &mut self,
-        thread: ThreadId,
-        pc: u64,
-        addr: u64,
-        cycle: u64,
-    ) -> LoadAccessResult {
-        self.core
-            .load_access(&mut self.shared, thread, pc, addr, cycle)
-    }
-
-    /// Performs a store for cache-content purposes.
-    pub fn store_access(&mut self, thread: ThreadId, addr: u64, cycle: u64) {
-        self.core
-            .store_access(&mut self.shared, thread, addr, cycle);
-    }
-
-    /// Instruction fetch of the line containing `pc`; returns the fetch latency.
-    pub fn fetch_access(&mut self, thread: ThreadId, pc: u64, cycle: u64) -> u64 {
-        self.core.fetch_access(&mut self.shared, thread, pc, cycle)
-    }
-
-    /// Number of data prefetches issued so far.
-    pub fn prefetches_issued(&self) -> u64 {
-        self.core.prefetches_issued()
-    }
-
-    /// Number of demand misses covered by the prefetcher so far.
-    pub fn prefetch_hits(&self) -> u64 {
-        self.core.prefetch_hits()
-    }
-
-    /// L1 data-cache hit rate so far.
-    pub fn l1d_hit_rate(&self) -> f64 {
-        self.core.l1d_hit_rate()
-    }
-
-    /// Clears all cache, TLB, MSHR and prefetcher state.
-    pub fn reset(&mut self) {
-        self.core.reset();
-        self.shared.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smt_types::SmtConfig;
+    use crate::shared::SharedLlc;
 
-    fn hierarchy() -> MemoryHierarchy {
-        MemoryHierarchy::new(&SmtConfig::baseline(2))
+    /// One core's private levels over an exclusively owned shared level:
+    /// the single-core machine's memory system.
+    fn single_core(config: &SmtConfig) -> (CoreMemory, SharedLlc) {
+        (CoreMemory::new(config, 0), SharedLlc::single_core(config))
+    }
+
+    fn hierarchy() -> (CoreMemory, SharedLlc) {
+        single_core(&SmtConfig::baseline(2))
     }
 
     #[test]
     fn cold_miss_is_long_latency_then_hits() {
-        let mut m = hierarchy();
+        let (mut m, mut shared) = hierarchy();
         let t = ThreadId::new(0);
-        let first = m.load_access(t, 0x40, 0x100000, 0);
+        let first = m.load_access(&mut shared, t, 0x40, 0x100000, 0);
         assert!(first.long_latency);
         assert_eq!(first.level, AccessLevel::Memory);
         assert!(first.latency >= 350);
-        let again = m.load_access(t, 0x40, 0x100000, first.completion_cycle() + 1);
+        let again = m.load_access(&mut shared, t, 0x40, 0x100000, first.completion_cycle() + 1);
         assert_eq!(again.level, AccessLevel::L1);
         assert!(!again.long_latency);
         assert!(again.latency <= 3);
@@ -520,14 +455,14 @@ mod tests {
 
     #[test]
     fn independent_misses_overlap_via_mshrs() {
-        let mut m = hierarchy();
+        let (mut m, mut shared) = hierarchy();
         let t = ThreadId::new(0);
         // Warm the two pages so the later misses are pure LLC misses (no TLB walk).
-        let w0 = m.load_access(t, 0x40, 0x1_000_000, 0);
-        let w1 = m.load_access(t, 0x48, 0x2_000_000, 1);
+        let w0 = m.load_access(&mut shared, t, 0x40, 0x1_000_000, 0);
+        let w1 = m.load_access(&mut shared, t, 0x48, 0x2_000_000, 1);
         let start = w0.completion_cycle().max(w1.completion_cycle()) + 1;
-        let a = m.load_access(t, 0x50, 0x1_000_100, start);
-        let b = m.load_access(t, 0x58, 0x2_000_100, start + 1);
+        let a = m.load_access(&mut shared, t, 0x50, 0x1_000_100, start);
+        let b = m.load_access(&mut shared, t, 0x58, 0x2_000_100, start + 1);
         // Both complete roughly one memory latency after issue: they overlap.
         assert!(a.completion_cycle() <= start + 400);
         assert!(b.completion_cycle() <= start + 1 + 400);
@@ -538,24 +473,24 @@ mod tests {
     fn serialization_knob_serializes_misses() {
         let mut cfg = SmtConfig::baseline(1);
         cfg.serialize_long_latency_loads = true;
-        let mut m = MemoryHierarchy::new(&cfg);
+        let (mut m, mut shared) = single_core(&cfg);
         let t = ThreadId::new(0);
-        let a = m.load_access(t, 0x40, 0x1_000_000, 0);
-        let b = m.load_access(t, 0x48, 0x2_000_000, 1);
+        let a = m.load_access(&mut shared, t, 0x40, 0x1_000_000, 0);
+        let b = m.load_access(&mut shared, t, 0x48, 0x2_000_000, 1);
         assert!(b.completion_cycle() >= a.completion_cycle() + 350);
     }
 
     #[test]
     fn dtlb_miss_is_long_latency_even_on_cache_hit() {
-        let mut m = hierarchy();
+        let (mut m, mut shared) = hierarchy();
         let t = ThreadId::new(0);
         // Touch a line so it is in the caches.
-        let first = m.load_access(t, 0x40, 0x42_0000, 0);
+        let first = m.load_access(&mut shared, t, 0x40, 0x42_0000, 0);
         // Fill the D-TLB with 512 other pages to evict the translation.
         for i in 0..600u64 {
-            let _ = m.load_access(t, 0x60, 0x100_0000 + i * 8192, 1000 + i);
+            let _ = m.load_access(&mut shared, t, 0x60, 0x100_0000 + i * 8192, 1000 + i);
         }
-        let again = m.load_access(t, 0x40, 0x42_0000, 1_000_000);
+        let again = m.load_access(&mut shared, t, 0x40, 0x42_0000, 1_000_000);
         assert!(again.dtlb_miss);
         assert!(again.long_latency);
         assert!(again.latency >= 350);
@@ -564,22 +499,28 @@ mod tests {
 
     #[test]
     fn same_line_misses_merge_in_mshr() {
-        let mut m = hierarchy();
+        let (mut m, mut shared) = hierarchy();
         let t = ThreadId::new(0);
-        let a = m.load_access(t, 0x40, 0x3_000_000, 0);
+        let a = m.load_access(&mut shared, t, 0x40, 0x3_000_000, 0);
         // Second access to the same line before the first returns: the line has
         // already been filled by the model, so it hits; access a different word of a
         // line that is still outstanding in MSHR terms is covered by fill+hit.
-        let b = m.load_access(t, 0x48, 0x3_000_008, 5);
+        let b = m.load_access(&mut shared, t, 0x48, 0x3_000_008, 5);
         assert!(b.completion_cycle() <= a.completion_cycle() + 5);
     }
 
     #[test]
     fn threads_have_disjoint_address_spaces() {
-        let mut m = hierarchy();
-        let a = m.load_access(ThreadId::new(0), 0x40, 0x500_000, 0);
+        let (mut m, mut shared) = hierarchy();
+        let a = m.load_access(&mut shared, ThreadId::new(0), 0x40, 0x500_000, 0);
         // Thread 1 touching the "same" virtual address must still be a cold miss.
-        let b = m.load_access(ThreadId::new(1), 0x40, 0x500_000, a.completion_cycle() + 1);
+        let b = m.load_access(
+            &mut shared,
+            ThreadId::new(1),
+            0x40,
+            0x500_000,
+            a.completion_cycle() + 1,
+        );
         assert_eq!(b.level, AccessLevel::Memory);
     }
 
@@ -634,13 +575,13 @@ mod tests {
 
     #[test]
     fn strided_stream_gets_prefetched() {
-        let mut m = hierarchy();
+        let (mut m, mut shared) = hierarchy();
         let t = ThreadId::new(0);
         let base = 0x4_000_000u64;
         let mut now = 0u64;
         let mut prefetch_hits = 0;
         for i in 0..64u64 {
-            let r = m.load_access(t, 0x40, base + i * 64, now);
+            let r = m.load_access(&mut shared, t, 0x40, base + i * 64, now);
             now = r.completion_cycle() + 1;
             if r.prefetch_hit {
                 prefetch_hits += 1;
@@ -654,30 +595,31 @@ mod tests {
 
     #[test]
     fn fetch_access_uses_icache() {
-        let mut m = hierarchy();
+        let (mut m, mut shared) = hierarchy();
         let t = ThreadId::new(0);
-        let cold = m.fetch_access(t, 0x8000, 0);
+        let cold = m.fetch_access(&mut shared, t, 0x8000, 0);
         assert!(cold >= 11);
-        let warm = m.fetch_access(t, 0x8004, 1);
+        let warm = m.fetch_access(&mut shared, t, 0x8004, 1);
         assert_eq!(warm, 1);
     }
 
     #[test]
     fn store_allocates_line() {
-        let mut m = hierarchy();
+        let (mut m, mut shared) = hierarchy();
         let t = ThreadId::new(0);
-        m.store_access(t, 0x9_000_000, 0);
-        let r = m.load_access(t, 0x40, 0x9_000_000, 10);
+        m.store_access(&mut shared, t, 0x9_000_000, 0);
+        let r = m.load_access(&mut shared, t, 0x40, 0x9_000_000, 10);
         assert_eq!(r.level, AccessLevel::L1);
     }
 
     #[test]
     fn reset_restores_cold_state() {
-        let mut m = hierarchy();
+        let (mut m, mut shared) = hierarchy();
         let t = ThreadId::new(0);
-        let _ = m.load_access(t, 0x40, 0xabc000, 0);
+        let _ = m.load_access(&mut shared, t, 0x40, 0xabc000, 0);
         m.reset();
-        let r = m.load_access(t, 0x40, 0xabc000, 1000);
+        shared.reset();
+        let r = m.load_access(&mut shared, t, 0x40, 0xabc000, 1000);
         assert_eq!(r.level, AccessLevel::Memory);
     }
 }

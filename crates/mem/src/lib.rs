@@ -12,24 +12,25 @@
 //! * an 8-entry write buffer drained at commit ([`write_buffer`]),
 //! * the chip-shared bottom level — LLC, LLC MSHRs, memory bus — with its
 //!   order-invariant multi-core arbitration discipline ([`shared`]),
-//! * the per-core private levels ([`hierarchy::CoreMemory`]) and the composed
-//!   single-core [`hierarchy::MemoryHierarchy`] facade that the pipeline
-//!   queries for load and fetch latencies.
+//! * the per-core private levels ([`hierarchy::CoreMemory`]) that the
+//!   pipeline queries for load and fetch latencies, each access that misses
+//!   them presented to a shared level borrowed from the caller.
 //!
 //! # Example
 //!
 //! ```
-//! use smt_mem::hierarchy::MemoryHierarchy;
+//! use smt_mem::{CoreMemory, SharedLlc};
 //! use smt_types::{SmtConfig, ThreadId};
 //!
 //! let cfg = SmtConfig::baseline(1);
-//! let mut mem = MemoryHierarchy::new(&cfg);
+//! let mut core = CoreMemory::new(&cfg, 0);
+//! let mut shared = SharedLlc::single_core(&cfg);
 //! let t = ThreadId::new(0);
 //! // A cold access goes all the way to memory and is long latency.
-//! let first = mem.load_access(t, 0x40, 0x10_0000, 0);
+//! let first = core.load_access(&mut shared, t, 0x40, 0x10_0000, 0);
 //! assert!(first.long_latency);
 //! // Re-accessing the same line soon after hits in the L1.
-//! let second = mem.load_access(t, 0x40, 0x10_0000, first.completion_cycle() + 1);
+//! let second = core.load_access(&mut shared, t, 0x40, 0x10_0000, first.completion_cycle() + 1);
 //! assert!(!second.long_latency);
 //! assert!(second.latency < first.latency);
 //! ```
@@ -46,7 +47,7 @@ pub mod tlb;
 pub mod write_buffer;
 
 pub use cache::{CacheState, SetAssocCache, WayState};
-pub use hierarchy::{AccessLevel, CoreMemory, CoreMemoryState, LoadAccessResult, MemoryHierarchy};
+pub use hierarchy::{AccessLevel, CoreMemory, CoreMemoryState, LoadAccessResult};
 pub use mshr::{MshrFile, MshrStage};
 pub use prefetch::{PrefetcherState, StreamBufferPrefetcher};
 pub use shared::{

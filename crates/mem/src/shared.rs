@@ -1,8 +1,8 @@
 //! The chip-shared memory levels: last-level cache, LLC MSHRs, and the
 //! off-chip memory bus.
 //!
-//! On the paper's single-core machine these structures sit at the bottom of
-//! [`crate::hierarchy::MemoryHierarchy`] and are private to the one core. On
+//! On the paper's single-core machine these structures sit below the one
+//! core's [`crate::hierarchy::CoreMemory`] and are private to it. On
 //! a chip ([`smt_types::ChipConfig`]) every core's private levels
 //! ([`crate::hierarchy::CoreMemory`]) miss into one [`SharedLlc`]: cores
 //! compete for LLC capacity, per-`(core, thread)` MSHR slots bound each
@@ -26,8 +26,8 @@
 //!
 //! # The view / stage / merge split
 //!
-//! The chip discipline is made explicit in the type system so that cores can
-//! step in parallel without sharing mutable state:
+//! The chip discipline is made explicit in the type system so that no core
+//! can observe another core's writes of the same cycle:
 //!
 //! * [`SharedLlcView`] is a **frozen read view** of the shared level —
 //!   `&self`-only queries against cycle-start state: tag probes, the frozen
@@ -40,9 +40,8 @@
 //!   canonical core order before [`SharedLlc::end_cycle`] applies the fills.
 //!
 //! Because every intra-cycle write either carries the idempotent cycle stamp
-//! or is deferred to the merge, the staged path is bit-for-bit the serial
-//! interleaved one — which is exactly what lets a worker pool step cores of
-//! one cycle concurrently.
+//! or is deferred to the merge, the staged path produces the same state
+//! whatever order the cores of one cycle are stepped in.
 
 use smt_types::{ChipConfig, SmtConfig};
 
@@ -378,8 +377,8 @@ impl SharedLlc {
     /// Merge order within a cycle is immaterial to the final state: stamp
     /// touches all carry the same cycle stamp, MSHR slots are per-requester,
     /// counters commute, and bus observables are order-independent — but the
-    /// canonical order makes the serial and pooled schedules produce not
-    /// just equivalent, byte-identical internal state.
+    /// canonical order makes every core stepping order produce not just
+    /// equivalent, byte-identical internal state.
     pub fn merge_stage(&mut self, stage: &mut CoreStage) {
         let stamp = self.cycle + 1;
         // Stamp touches must land before end_cycle installs any fill: the
@@ -446,7 +445,7 @@ impl SharedLevel for SharedLlc {
 /// Every query is answered from state that cannot change while cores step:
 /// tag presence (fills are staged), bus congestion (frozen at
 /// [`SharedLlc::begin_cycle`]), and the MSHR entry maps (allocations are
-/// staged per core). Many views may coexist, one per worker thread.
+/// staged per core). Many views may coexist, one per core being stepped.
 #[derive(Clone, Copy)]
 pub struct SharedLlcView<'a> {
     shared: &'a SharedLlc,

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use smt_mem::{MemoryHierarchy, MshrFile, SetAssocCache, Tlb, WriteBuffer};
+use smt_mem::{CoreMemory, MshrFile, SetAssocCache, SharedLlc, Tlb, WriteBuffer};
 use smt_types::config::{CacheConfig, TlbConfig};
 use smt_types::{SmtConfig, ThreadId};
 
@@ -81,10 +81,11 @@ proptest! {
     #[test]
     fn hierarchy_reaccess_is_never_slower(addr in 0u64..0x10_000_000u64) {
         let cfg = SmtConfig::baseline(1);
-        let mut mem = MemoryHierarchy::new(&cfg);
+        let mut core = CoreMemory::new(&cfg, 0);
+        let mut shared = SharedLlc::single_core(&cfg);
         let t = ThreadId::new(0);
-        let first = mem.load_access(t, 0x40, addr, 0);
-        let second = mem.load_access(t, 0x40, addr, first.completion_cycle() + 1);
+        let first = core.load_access(&mut shared, t, 0x40, addr, 0);
+        let second = core.load_access(&mut shared, t, 0x40, addr, first.completion_cycle() + 1);
         prop_assert!(first.latency >= 1);
         prop_assert!(second.latency >= 1);
         prop_assert!(second.latency <= first.latency);

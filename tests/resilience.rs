@@ -5,7 +5,8 @@
 //!
 //! 1. **Transient chaos is invisible.** Any fault plan whose faults all
 //!    recover within the retry budget yields a report bit-for-bit identical
-//!    to the fault-free run (modulo wall-clock time and thread count).
+//!    to the fault-free run (modulo wall-clock time and thread count), for
+//!    single-core policy grids and chip grids alike.
 //! 2. **Degradation is deterministic.** A permanently failing cell produces
 //!    the same degraded report on 1 engine thread and on 4.
 //! 3. **Artifact writes are crash-safe.** Killing a process mid-write leaves
@@ -28,6 +29,18 @@ fn tiny_spec() -> smt_core::experiments::ExperimentSpec {
         .clone()
         .with_scale(RunScale::tiny())
         .with_workload_limit(1)
+}
+
+/// A two-core chip grid at the tiny scale: one workload under two policies.
+fn tiny_chip_spec() -> smt_core::experiments::ExperimentSpec {
+    let mut spec = ExperimentRegistry::builtin()
+        .get("chip_2c2t_allocation_matrix")
+        .expect("registry entry exists")
+        .clone()
+        .with_scale(RunScale::tiny())
+        .with_workload_limit(1);
+    spec.policies.truncate(2);
+    spec
 }
 
 /// Zeroes the report fields that legitimately differ between runs (wall
@@ -83,6 +96,28 @@ proptest! {
         prop_assert!(chaotic.health.as_ref().unwrap().is_complete());
         prop_assert_eq!(comparable(clean), comparable(chaotic));
     }
+}
+
+/// Contract 1 on a chip grid: a panic in one chip cell that recovers within
+/// the retry budget leaves the report identical to the fault-free run.
+#[test]
+fn chip_grid_chaos_recovers_to_bit_for_bit_parity() {
+    let plan = FaultPlan {
+        seed: 7,
+        faults: vec![transient_fault("cell-start", FaultAction::Panic, 1, 1)],
+    };
+    let policy = RunPolicy {
+        max_retries: 2,
+        fault_plan: Some(plan.clone()),
+        ..RunPolicy::default()
+    };
+    assert!(plan.recovers_within(policy.max_attempts()));
+
+    let spec = tiny_chip_spec();
+    let clean = run_spec_with_policy(&spec, 2, &RunPolicy::default()).expect("clean grid runs");
+    let chaotic = run_spec_with_policy(&spec, 2, &policy).expect("chaotic grid runs");
+    assert!(chaotic.health.as_ref().unwrap().is_complete());
+    assert_eq!(comparable(chaotic), comparable(clean));
 }
 
 /// Contract 2: degraded reports — which cells failed, with what error, after
