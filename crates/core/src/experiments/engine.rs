@@ -1,8 +1,10 @@
 //! Resilient parallel execution engine for [`ExperimentSpec`]s.
 //!
-//! The engine expands a spec into its grid of independent cells
-//! (sweep point × policy × workload for policy grids; one benchmark per cell
-//! for single-thread kinds), runs the cells across OS threads with a shared
+//! The engine expands a spec into its grid of independent cells (sweep
+//! point × arm × allocation × workload for grids, where an arm is a static
+//! fetch policy or an adaptive selector over a candidate set and the
+//! allocation axis exists only on chips; one benchmark per cell for
+//! single-thread kinds), runs the cells across OS threads with a shared
 //! [`StReferenceCache`] (each single-threaded reference curve is simulated
 //! exactly once, no matter how many cells need it), and assembles a uniform
 //! [`ExperimentReport`]. Results are deterministic and independent of the
@@ -30,18 +32,19 @@ use std::time::Instant; // analyze: allow(determinism) reason="harness-side wall
 
 use smt_resil::FaultInjector;
 use smt_sched::AllocationPolicyKind;
+use smt_trace::{spec as trace_spec, WorkloadClass};
+use smt_types::adaptive::AdaptiveConfig;
 use smt_types::config::FetchPolicyKind;
-use smt_types::{CellError, CellOutcome, RunHealth, SimError, SmtConfig};
+use smt_types::{CellError, CellOutcome, RunHealth, SamplingConfig, SimError, SmtConfig};
 
-use crate::experiments::characterization;
 use crate::experiments::report::{
-    empty_report, BenchRow, CheckpointSummary, ExperimentReport, PolicyCell,
+    empty_report, BenchRow, CellResult, CheckpointSummary, ExperimentReport, PolicyCell, SummaryRow,
 };
 use crate::experiments::spec::{ExperimentKind, ExperimentSpec};
 use crate::runner::{
     evaluate_adaptive_chip_workload_with_intensities, evaluate_adaptive_workload,
     evaluate_chip_workload_with_intensities, evaluate_workload_sampled, evaluate_workload_with,
-    mlp_intensity, run_single_thread, CheckpointCache, RunScale, StReferenceCache, WorkloadResult,
+    mlp_intensity, run_single_thread, CheckpointCache, RunScale, StReferenceCache,
 };
 use crate::workloads::Workload;
 
@@ -454,87 +457,6 @@ fn budget_underrun_error(scale: RunScale, max_committed: u64) -> Option<CellErro
     }
 }
 
-/// Runs `f` over every item on up to `threads` OS threads, returning results
-/// in item order. Items are claimed from a shared atomic counter, so uneven
-/// cell costs balance across workers.
-pub(crate) fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(&items[i]);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                // analyze: allow(panic-policy) reason="documented panic: a worker that panicked would have propagated through thread::scope before the slots are read"
-                .expect("every slot is filled before the scope ends")
-        })
-        .collect()
-}
-
-/// Runs a policy × workload grid on one configuration, sharing `cache`
-/// across all cells, and returns results as `grid[policy][workload]`.
-///
-/// This is the primitive behind both the legacy
-/// [`crate::experiments::policies::policy_comparison`] entry point and the
-/// spec engine; with `threads == 1` it reproduces the historical serial
-/// behaviour exactly.
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered, if any.
-pub fn run_policy_grid(
-    policies: &[FetchPolicyKind],
-    workloads: &[Workload],
-    config: &SmtConfig,
-    scale: RunScale,
-    cache: &StReferenceCache,
-    threads: usize,
-) -> Result<Vec<Vec<WorkloadResult>>, SimError> {
-    let mut tasks: Vec<(FetchPolicyKind, &Workload)> = Vec::new();
-    for &policy in policies {
-        for workload in workloads {
-            tasks.push((policy, workload));
-        }
-    }
-    let outcomes = parallel_map(&tasks, threads, |(policy, workload)| {
-        let mut cell_config = config.clone();
-        cell_config.num_threads = workload.num_threads();
-        evaluate_workload_with(&workload.benchmarks, *policy, &cell_config, scale, cache)
-    });
-    let mut grid: Vec<Vec<WorkloadResult>> = Vec::with_capacity(policies.len());
-    let mut outcomes = outcomes.into_iter();
-    for _ in policies {
-        let mut row = Vec::with_capacity(workloads.len());
-        for _ in workloads {
-            row.push(outcomes.next().ok_or_else(|| {
-                SimError::internal("engine produced fewer outcomes than tasks")
-            })??);
-        }
-        grid.push(row);
-    }
-    Ok(grid)
-}
-
 /// Runs an experiment spec with the default thread count.
 ///
 /// # Errors
@@ -588,7 +510,7 @@ pub fn run_spec_with_policy(
         outcomes
     } else {
         let (cells, summaries, outcomes) =
-            run_grid_cells(&effective, threads, &cache, &checkpoints, policy)?;
+            run_grid(&effective, threads, &cache, &checkpoints, policy)?;
         report.policy_cells = cells;
         report.summaries = summaries;
         outcomes
@@ -606,448 +528,182 @@ pub fn run_spec_with_policy(
     Ok(report)
 }
 
-type GridOutcome = (
-    Vec<PolicyCell>,
-    Vec<crate::experiments::report::SummaryRow>,
-    Vec<CellOutcome>,
-);
+type GridOutcome = (Vec<PolicyCell>, Vec<SummaryRow>, Vec<CellOutcome>);
 
-/// Prefix for a sweep-point axis in a cell label.
-fn point_prefix(point: Option<u64>) -> String {
-    point.map(|p| format!("{p}/")).unwrap_or_default()
+/// One entry of a grid's policy axis: a static fetch policy, or an adaptive
+/// selector over a candidate set.
+enum Arm {
+    Static(FetchPolicyKind),
+    /// `initial` is the candidate set's first policy, which the machine
+    /// starts on and which names the arm in the report's `policy` column.
+    Adaptive {
+        initial: FetchPolicyKind,
+        config: AdaptiveConfig,
+    },
 }
 
-fn run_grid_cells(
-    spec: &ExperimentSpec,
-    threads: usize,
-    cache: &StReferenceCache,
-    checkpoints: &CheckpointCache,
-    policy: &RunPolicy,
-) -> Result<GridOutcome, SimError> {
-    if spec.kind == ExperimentKind::ChipGrid {
-        return run_chip_cells(spec, threads, cache, policy);
+impl Arm {
+    /// The `policy` column of the arm's cells.
+    fn policy(&self) -> FetchPolicyKind {
+        match self {
+            Arm::Static(policy) => *policy,
+            Arm::Adaptive { initial, .. } => *initial,
+        }
     }
-    if spec.kind == ExperimentKind::AdaptiveGrid {
-        return run_adaptive_cells(spec, threads, cache, policy);
-    }
-    if spec.sampling.is_some() {
-        return run_sampled_cells(spec, threads, cache, checkpoints, policy);
-    }
-    let workloads: Vec<Workload> = spec
-        .workloads
-        .iter()
-        .map(|benchmarks| Workload::new(benchmarks.clone()))
-        .collect::<Result<_, _>>()?;
-    let sweep_points = spec.sweep_points();
-    let mut tasks: Vec<(Option<u64>, FetchPolicyKind, &Workload)> = Vec::new();
-    for &point in &sweep_points {
-        for &policy_kind in &spec.policies {
-            for workload in &workloads {
-                tasks.push((point, policy_kind, workload));
+
+    /// The arm's segment of a cell label: the policy name, or
+    /// `selector/cand+cand`.
+    fn label(&self) -> String {
+        match self {
+            Arm::Static(policy) => policy.name().to_string(),
+            Arm::Adaptive { config, .. } => {
+                let names: Vec<&str> = config.candidates.iter().map(|c| c.name()).collect();
+                format!("{}/{}", config.selector.name(), names.join("+"))
             }
         }
     }
-    let runs = run_cells(
-        &tasks,
-        threads,
-        policy,
-        |&(point, policy_kind, workload)| {
-            let config = spec.config_for(workload.num_threads(), point);
-            evaluate_workload_with(
-                &workload.benchmarks,
-                policy_kind,
-                &config,
-                spec.scale,
-                cache,
-            )
-        },
-        |result| {
-            let max_committed = result
-                .mt_stats
-                .threads
-                .iter()
-                .map(|t| t.committed_instructions)
-                .max()
-                .unwrap_or(0);
-            budget_underrun_error(spec.scale, max_committed)
-        },
-    );
-    let mut cells = Vec::with_capacity(tasks.len());
-    let mut outcomes = Vec::with_capacity(tasks.len());
-    for (index, ((point, policy_kind, workload), run)) in tasks.iter().zip(runs).enumerate() {
-        let label = format!(
-            "{}{}/{}",
-            point_prefix(*point),
-            policy_kind.name(),
-            workload.benchmarks.join("-")
-        );
-        match run.result {
-            Ok(result) => {
-                cells.push(ExperimentReport::cell_from_result(
-                    &result,
-                    &workload.benchmarks,
-                    workload.group.label(),
-                    *point,
-                ));
-                outcomes.push(CellOutcome::success(index as u64, label));
-            }
-            Err(error) => {
-                outcomes.push(CellOutcome::failure(
-                    index as u64,
-                    label,
-                    error,
-                    run.attempts,
-                ));
-            }
-        }
-    }
-    let summaries = ExperimentReport::summarize(&cells, &spec.policies, &sweep_points);
-    Ok((cells, summaries, outcomes))
 }
 
-/// Runs a sampled policy grid: the same (sweep point × policy × workload)
-/// cell lattice as the exact path, but every cell is evaluated with
-/// SMARTS-style fast-forward/measure interleaving
-/// ([`evaluate_workload_sampled`]). All cells share one [`CheckpointCache`]:
-/// the functional warm-up prefix never consults the fetch policy, so every
-/// policy of a grid restores the same per-workload warm checkpoint instead of
-/// re-simulating the prefix.
-fn run_sampled_cells(
-    spec: &ExperimentSpec,
-    threads: usize,
-    cache: &StReferenceCache,
-    checkpoints: &CheckpointCache,
-    policy: &RunPolicy,
-) -> Result<GridOutcome, SimError> {
-    let sampling = spec
-        .sampling
-        .as_ref()
-        .ok_or_else(|| SimError::internal("sampled grid lost its sampling parameters"))?
-        .config();
-    let workloads: Vec<Workload> = spec
-        .workloads
-        .iter()
-        .map(|benchmarks| Workload::new(benchmarks.clone()))
-        .collect::<Result<_, _>>()?;
-    let sweep_points = spec.sweep_points();
-    let mut tasks: Vec<(Option<u64>, FetchPolicyKind, &Workload)> = Vec::new();
-    for &point in &sweep_points {
-        for &policy_kind in &spec.policies {
-            for workload in &workloads {
-                tasks.push((point, policy_kind, workload));
-            }
+/// The arms of a grid spec in lattice order: `spec.policies` for static
+/// grids, selectors × candidate sets for adaptive grids.
+fn grid_arms(spec: &ExperimentSpec) -> Result<Vec<Arm>, SimError> {
+    let Some(adaptive) = &spec.adaptive else {
+        return Ok(spec.policies.iter().copied().map(Arm::Static).collect());
+    };
+    let mut arms = Vec::new();
+    for &selector in &adaptive.selectors {
+        for candidates in &adaptive.candidate_sets {
+            let initial = *candidates.first().ok_or_else(|| {
+                SimError::internal("validated adaptive grid has an empty candidate set")
+            })?;
+            arms.push(Arm::Adaptive {
+                initial,
+                config: adaptive.config_for(selector, candidates),
+            });
         }
     }
-    let runs = run_cells(
-        &tasks,
-        threads,
-        policy,
-        |&(point, policy_kind, workload)| {
-            let config = spec.config_for(workload.num_threads(), point);
-            evaluate_workload_sampled(
-                &workload.benchmarks,
-                policy_kind,
-                &config,
-                spec.scale,
-                &sampling,
-                cache,
-                checkpoints,
-            )
-        },
-        // A sampled run that measured no complete window already failed with
-        // a deadline error inside the cell body; nothing extra to check here.
-        |_| None,
-    );
-    let mut cells = Vec::with_capacity(tasks.len());
-    let mut outcomes = Vec::with_capacity(tasks.len());
-    for (index, ((point, policy_kind, workload), run)) in tasks.iter().zip(runs).enumerate() {
-        let label = format!(
-            "{}{}/{}",
-            point_prefix(*point),
-            policy_kind.name(),
-            workload.benchmarks.join("-")
-        );
-        match run.result {
-            Ok(result) => {
-                cells.push(ExperimentReport::cell_from_sampled_result(
-                    &result,
-                    &workload.benchmarks,
-                    workload.group.label(),
-                    *point,
-                ));
-                outcomes.push(CellOutcome::success(index as u64, label));
-            }
-            Err(error) => {
-                outcomes.push(CellOutcome::failure(
-                    index as u64,
-                    label,
-                    error,
-                    run.attempts,
-                ));
-            }
-        }
-    }
-    let summaries = ExperimentReport::summarize(&cells, &spec.policies, &sweep_points);
-    Ok((cells, summaries, outcomes))
+    Ok(arms)
 }
 
-/// Runs a chip-grid spec: one cell per (sweep point × fetch policy ×
-/// allocation × workload). Each distinct benchmark's MLP intensity is probed
-/// exactly once (serially, at negligible probe scale) before the cells fan
-/// out, so every cell sees identical placement inputs no matter how many
-/// engine threads run. Probe failures are setup errors, not cell failures.
-fn run_chip_cells(
+/// One grid cell: a workload evaluated under one arm, at one sweep point,
+/// on the machine (`allocation == None`) or on a chip with one
+/// thread-to-core allocation policy.
+struct GridCell<'a> {
+    point: Option<u64>,
+    arm: &'a Arm,
+    allocation: Option<AllocationPolicyKind>,
+    workload: &'a Workload,
+}
+
+impl GridCell<'_> {
+    /// `{point/}{arm}/{allocation/}{workload}`.
+    fn label(&self) -> String {
+        let point = self.point.map(|p| format!("{p}/")).unwrap_or_default();
+        let allocation = self
+            .allocation
+            .map(|a| format!("{}/", a.name()))
+            .unwrap_or_default();
+        format!(
+            "{point}{}/{allocation}{}",
+            self.arm.label(),
+            self.workload.benchmarks.join("-")
+        )
+    }
+}
+
+/// Probes each distinct benchmark's MLP intensity once, serially, before the
+/// cells fan out, so every cell sees identical placement inputs at any
+/// engine thread count. Only `mlp-balanced` placement reads intensities;
+/// without it the map stays empty and cells see zeros. The probe normalizes
+/// to one thread, so any workload's core configuration gives the same
+/// answer. Probe failures are setup errors, not cell failures.
+fn probe_intensities<'a>(
     spec: &ExperimentSpec,
-    threads: usize,
-    cache: &StReferenceCache,
-    policy: &RunPolicy,
-) -> Result<GridOutcome, SimError> {
-    let chip_spec = spec
-        .chip
-        .as_ref()
-        .ok_or_else(|| SimError::internal("validated chip grid lost its chip parameters"))?;
-    let workloads: Vec<Workload> = spec
-        .workloads
-        .iter()
-        .map(|benchmarks| Workload::new(benchmarks.clone()))
-        .collect::<Result<_, _>>()?;
-    let sweep_points = spec.sweep_points();
-    // Probe each distinct benchmark once; the probe normalizes to one thread,
-    // so any workload's core configuration gives the same answer.
+    workloads: &'a [Workload],
+    allocations: &[Option<AllocationPolicyKind>],
+) -> Result<HashMap<&'a str, f64>, SimError> {
+    let mut intensities = HashMap::new();
+    if !allocations.contains(&Some(AllocationPolicyKind::MlpBalanced)) {
+        return Ok(intensities);
+    }
     let probe_config = spec.config_for(1, None);
-    let mut intensities: HashMap<&str, f64> = HashMap::new();
-    for workload in &workloads {
-        for benchmark in &workload.benchmarks {
-            if !intensities.contains_key(benchmark.as_str()) {
-                let value = mlp_intensity(benchmark, &probe_config, spec.scale.seed)?;
-                intensities.insert(benchmark, value);
-            }
+    for benchmark in workloads.iter().flat_map(|w| &w.benchmarks) {
+        if !intensities.contains_key(benchmark.as_str()) {
+            let value = mlp_intensity(benchmark, &probe_config, spec.scale.seed)?;
+            intensities.insert(benchmark.as_str(), value);
         }
     }
-    type ChipTask<'a> = (
-        Option<u64>,
-        FetchPolicyKind,
-        AllocationPolicyKind,
-        &'a Workload,
-    );
-    let mut tasks: Vec<ChipTask> = Vec::new();
-    for &point in &sweep_points {
-        for &policy_kind in &spec.policies {
-            for &allocation in &chip_spec.allocations {
-                for workload in &workloads {
-                    tasks.push((point, policy_kind, allocation, workload));
-                }
-            }
-        }
-    }
-    let runs = run_cells(
-        &tasks,
-        threads,
-        policy,
-        |&(point, policy_kind, allocation, workload)| {
-            let chip_config = spec.chip_config_for(workload.num_threads(), point);
-            let thread_intensities: Vec<f64> = workload
-                .benchmarks
-                .iter()
-                .map(|b| intensities[b.as_str()])
-                .collect();
-            evaluate_chip_workload_with_intensities(
-                &workload.benchmarks,
-                &thread_intensities,
-                policy_kind,
-                allocation,
-                &chip_config,
-                spec.scale,
-                cache,
-            )
-        },
-        |result| {
-            let max_committed = result
-                .chip_stats
-                .threads()
-                .map(|t| t.committed_instructions)
-                .max()
-                .unwrap_or(0);
-            budget_underrun_error(spec.scale, max_committed)
-        },
-    );
-    let mut cells = Vec::with_capacity(tasks.len());
-    let mut outcomes = Vec::with_capacity(tasks.len());
-    for (index, ((point, policy_kind, allocation, workload), run)) in
-        tasks.iter().zip(runs).enumerate()
-    {
-        let label = format!(
-            "{}{}/{}/{}",
-            point_prefix(*point),
-            policy_kind.name(),
-            allocation.name(),
-            workload.benchmarks.join("-")
-        );
-        match run.result {
-            Ok(result) => {
-                cells.push(ExperimentReport::cell_from_chip_result(
-                    &result,
-                    &workload.benchmarks,
-                    workload.group.label(),
-                    *point,
-                ));
-                outcomes.push(CellOutcome::success(index as u64, label));
-            }
-            Err(error) => {
-                outcomes.push(CellOutcome::failure(
-                    index as u64,
-                    label,
-                    error,
-                    run.attempts,
-                ));
-            }
-        }
-    }
-    let summaries = ExperimentReport::summarize(&cells, &spec.policies, &sweep_points);
-    Ok((cells, summaries, outcomes))
+    Ok(intensities)
 }
 
-/// Runs an adaptive-grid spec: one cell per (sweep point × selector ×
-/// candidate-set × [allocation ×] workload). The allocation axis only exists
-/// when the spec lifts the grid to chip level; machine-level grids have one
-/// implicit `None` allocation. Chip grids probe each distinct benchmark's
-/// MLP intensity exactly once, like [`run_chip_cells`].
-fn run_adaptive_cells(
+/// Runs a grid spec (policy, chip or adaptive grid, exact or sampled): one
+/// cell per (sweep point × arm × allocation × workload), where chip specs
+/// contribute their allocation policies and machine-level specs the single
+/// `None` allocation. Sampled cells share one [`CheckpointCache`]: the
+/// functional warm-up prefix never consults the fetch policy, so every
+/// policy of a grid restores the same per-workload warm checkpoint.
+fn run_grid(
     spec: &ExperimentSpec,
     threads: usize,
     cache: &StReferenceCache,
+    checkpoints: &CheckpointCache,
     policy: &RunPolicy,
 ) -> Result<GridOutcome, SimError> {
-    let adaptive_spec = spec.adaptive.as_ref().ok_or_else(|| {
-        SimError::internal("validated adaptive grid lost its adaptive parameters")
-    })?;
     let workloads: Vec<Workload> = spec
         .workloads
         .iter()
         .map(|benchmarks| Workload::new(benchmarks.clone()))
         .collect::<Result<_, _>>()?;
     let sweep_points = spec.sweep_points();
-    // Chip-level adaptive grids need per-benchmark MLP intensities for the
-    // allocation policies; probe each distinct benchmark once, serially, so
-    // every cell sees identical placement inputs at any engine thread count.
+    let arms = grid_arms(spec)?;
     let allocations: Vec<Option<AllocationPolicyKind>> = match &spec.chip {
         Some(chip) => chip.allocations.iter().copied().map(Some).collect(),
         None => vec![None],
     };
-    // Only mlp-balanced placement reads the intensities; the probe runs are
-    // skipped (zero-filled) when no allocation of the spec consumes them.
-    let needs_probes = allocations
-        .iter()
-        .any(|a| matches!(a, Some(AllocationPolicyKind::MlpBalanced)));
-    let mut intensities: HashMap<&str, f64> = HashMap::new();
-    if spec.chip.is_some() {
-        let probe_config = spec.config_for(1, None);
-        for workload in &workloads {
-            for benchmark in &workload.benchmarks {
-                if !intensities.contains_key(benchmark.as_str()) {
-                    let value = if needs_probes {
-                        mlp_intensity(benchmark, &probe_config, spec.scale.seed)?
-                    } else {
-                        0.0
-                    };
-                    intensities.insert(benchmark, value);
-                }
-            }
-        }
-    }
-    type AdaptiveTask<'a> = (
-        Option<u64>,
-        smt_types::SelectorKind,
-        &'a [smt_types::config::FetchPolicyKind],
-        Option<AllocationPolicyKind>,
-        &'a Workload,
-    );
-    let mut tasks: Vec<AdaptiveTask> = Vec::new();
+    let intensities = probe_intensities(spec, &workloads, &allocations)?;
+    let sampling = spec.sampling.as_ref().map(|s| s.config());
+    let mut grid = Vec::new();
     for &point in &sweep_points {
-        for &selector in &adaptive_spec.selectors {
-            for candidates in &adaptive_spec.candidate_sets {
-                for &allocation in &allocations {
-                    for workload in &workloads {
-                        tasks.push((point, selector, candidates, allocation, workload));
-                    }
+        for arm in &arms {
+            for &allocation in &allocations {
+                for workload in &workloads {
+                    grid.push(GridCell {
+                        point,
+                        arm,
+                        allocation,
+                        workload,
+                    });
                 }
             }
         }
     }
     let runs = run_cells(
-        &tasks,
+        &grid,
         threads,
         policy,
-        |&(point, selector, candidates, allocation, workload)| {
-            let adaptive = adaptive_spec.config_for(selector, candidates);
-            match allocation {
-                Some(allocation) => {
-                    let chip_config = spec.chip_config_for(workload.num_threads(), point);
-                    let thread_intensities: Vec<f64> = workload
-                        .benchmarks
-                        .iter()
-                        .map(|b| intensities[b.as_str()])
-                        .collect();
-                    evaluate_adaptive_chip_workload_with_intensities(
-                        &workload.benchmarks,
-                        &thread_intensities,
-                        &adaptive,
-                        allocation,
-                        &chip_config,
-                        spec.scale,
-                        cache,
-                    )
-                }
-                None => {
-                    let config = spec.config_for(workload.num_threads(), point);
-                    evaluate_adaptive_workload(
-                        &workload.benchmarks,
-                        &adaptive,
-                        &config,
-                        spec.scale,
-                        cache,
-                    )
-                }
-            }
+        |cell| {
+            evaluate_grid_cell(
+                spec,
+                cell,
+                &intensities,
+                sampling.as_ref(),
+                cache,
+                checkpoints,
+            )
         },
-        |result| {
-            // Chip-level adaptive results flatten per-core stats, so this is
-            // the chip-wide best thread — conservative but never a false
-            // positive for completed runs.
-            let max_committed = result
-                .mt_stats
-                .threads
-                .iter()
-                .map(|t| t.committed_instructions)
-                .max()
-                .unwrap_or(0);
-            budget_underrun_error(spec.scale, max_committed)
-        },
+        |result| best_committed(result).and_then(|c| budget_underrun_error(spec.scale, c)),
     );
-    let mut cells = Vec::with_capacity(tasks.len());
-    let mut outcomes = Vec::with_capacity(tasks.len());
-    for (index, ((point, selector, candidates, allocation, workload), run)) in
-        tasks.iter().zip(runs).enumerate()
-    {
-        let candidate_names: Vec<&str> = candidates.iter().map(|c| c.name()).collect();
-        let allocation_part = allocation
-            .map(|a| format!("{}/", a.name()))
-            .unwrap_or_default();
-        let label = format!(
-            "{}{}/{}/{}{}",
-            point_prefix(*point),
-            selector.name(),
-            candidate_names.join("+"),
-            allocation_part,
-            workload.benchmarks.join("-")
-        );
+    let mut cells = Vec::with_capacity(grid.len());
+    let mut outcomes = Vec::with_capacity(grid.len());
+    for (index, (cell, run)) in grid.iter().zip(runs).enumerate() {
+        let label = cell.label();
         match run.result {
             Ok(result) => {
-                cells.push(ExperimentReport::cell_from_adaptive_result(
-                    &result,
-                    &workload.benchmarks,
-                    workload.group.label(),
-                    *point,
+                cells.push(PolicyCell::from_result(
+                    result,
+                    cell.arm.policy(),
+                    cell.workload,
+                    cell.point,
                 ));
                 outcomes.push(CellOutcome::success(index as u64, label));
             }
@@ -1061,16 +717,113 @@ fn run_adaptive_cells(
             }
         }
     }
-    // The `policy` axis of an adaptive report is derived from the cells (the
-    // initial policy of each candidate set), in first-seen order.
-    let mut policies: Vec<smt_types::config::FetchPolicyKind> = Vec::new();
-    for cell in &cells {
-        if !policies.contains(&cell.policy) {
-            policies.push(cell.policy);
+    let mut policies: Vec<FetchPolicyKind> = Vec::new();
+    for arm in &arms {
+        if !policies.contains(&arm.policy()) {
+            policies.push(arm.policy());
         }
     }
     let summaries = ExperimentReport::summarize(&cells, &policies, &sweep_points);
     Ok((cells, summaries, outcomes))
+}
+
+/// Evaluates one grid cell with the runner call its (arm, allocation,
+/// sampling) combination needs.
+fn evaluate_grid_cell(
+    spec: &ExperimentSpec,
+    cell: &GridCell,
+    intensities: &HashMap<&str, f64>,
+    sampling: Option<&SamplingConfig>,
+    cache: &StReferenceCache,
+    checkpoints: &CheckpointCache,
+) -> Result<CellResult, SimError> {
+    let benchmarks = &cell.workload.benchmarks;
+    let threads = cell.workload.num_threads();
+    let scale = spec.scale;
+    let thread_intensities: Vec<f64> = match cell.allocation {
+        Some(_) => benchmarks
+            .iter()
+            .map(|b| intensities.get(b.as_str()).copied().unwrap_or(0.0))
+            .collect(),
+        None => Vec::new(),
+    };
+    Ok(match (cell.arm, cell.allocation) {
+        (&Arm::Static(policy), None) => {
+            let config = spec.config_for(threads, cell.point);
+            match sampling {
+                Some(sampling) => CellResult::Sampled(evaluate_workload_sampled(
+                    benchmarks,
+                    policy,
+                    &config,
+                    scale,
+                    sampling,
+                    cache,
+                    checkpoints,
+                )?),
+                None => CellResult::Exact(evaluate_workload_with(
+                    benchmarks, policy, &config, scale, cache,
+                )?),
+            }
+        }
+        (&Arm::Static(policy), Some(allocation)) => {
+            CellResult::Chip(evaluate_chip_workload_with_intensities(
+                benchmarks,
+                &thread_intensities,
+                policy,
+                allocation,
+                &spec.chip_config_for(threads, cell.point),
+                scale,
+                cache,
+            )?)
+        }
+        (Arm::Adaptive { config, .. }, None) => CellResult::Adaptive(evaluate_adaptive_workload(
+            benchmarks,
+            config,
+            &spec.config_for(threads, cell.point),
+            scale,
+            cache,
+        )?),
+        (Arm::Adaptive { config, .. }, Some(allocation)) => {
+            CellResult::Adaptive(evaluate_adaptive_chip_workload_with_intensities(
+                benchmarks,
+                &thread_intensities,
+                config,
+                allocation,
+                &spec.chip_config_for(threads, cell.point),
+                scale,
+                cache,
+            )?)
+        }
+    })
+}
+
+/// The committed-instruction count of a cell's best thread, or `None` for
+/// sampled cells: a sampled run that measured no complete window already
+/// failed with a deadline error inside the cell body. Chip-level adaptive
+/// results flatten per-core stats, so chip cells report the chip-wide best
+/// thread — conservative but never a false positive for completed runs.
+fn best_committed(result: &CellResult) -> Option<u64> {
+    let best = match result {
+        CellResult::Exact(r) => r
+            .mt_stats
+            .threads
+            .iter()
+            .map(|t| t.committed_instructions)
+            .max(),
+        CellResult::Adaptive(r) => r
+            .mt_stats
+            .threads
+            .iter()
+            .map(|t| t.committed_instructions)
+            .max(),
+        CellResult::Chip(r) => r
+            .chip_stats
+            .threads()
+            .map(|t| t.committed_instructions)
+            .max(),
+        CellResult::Sampled(_) => return None,
+    };
+    Some(best.unwrap_or(0))
 }
 
 fn run_bench_rows(
@@ -1109,21 +862,40 @@ fn run_bench_rows(
     (rows, outcomes)
 }
 
-/// Produces one single-thread characterization row. Each kind replicates the
-/// exact configuration of its legacy `experiments::*` counterpart so that
-/// registry specs and legacy entry points agree bit-for-bit.
+/// Produces one single-thread characterization row.
 fn bench_row(kind: ExperimentKind, benchmark: &str, scale: RunScale) -> Result<BenchRow, SimError> {
     match kind {
         ExperimentKind::Characterization => {
-            let row = characterization::characterize(benchmark, scale)?;
+            // Table I on the single-threaded baseline with the prefetcher
+            // disabled, so the benchmark's raw miss behaviour is measured.
+            // MLP impact is the speedup of overlapping independent
+            // long-latency loads over serializing them; above 10% the
+            // benchmark is MLP-intensive.
+            let profile = trace_spec::benchmark(benchmark)?;
+            let base = SmtConfig::baseline(1).with_prefetcher(false);
+            let overlapped = run_single_thread(benchmark, &base, scale)?;
+            let mut serialized_config = base.clone();
+            serialized_config.serialize_long_latency_loads = true;
+            let serialized = run_single_thread(benchmark, &serialized_config, scale)?;
+            let t = &overlapped.threads[0];
+            let mlp_impact = if serialized.cycles == 0 {
+                0.0
+            } else {
+                1.0 - overlapped.cycles as f64 / serialized.cycles as f64
+            };
+            let class = if mlp_impact > 0.10 {
+                WorkloadClass::Mlp
+            } else {
+                WorkloadClass::Ilp
+            };
             Ok(BenchRow {
-                benchmark: row.benchmark,
-                ipc: row.ipc,
-                lll_per_kinst: Some(row.lll_per_kinst),
-                mlp: Some(row.mlp),
-                mlp_impact: Some(row.mlp_impact),
-                class: Some(row.measured_class.label().to_string()),
-                paper_class: Some(row.paper_class.label().to_string()),
+                benchmark: profile.name.clone(),
+                ipc: t.ipc(overlapped.cycles),
+                lll_per_kinst: Some(t.lll_per_kilo_instruction()),
+                mlp: Some(t.measured_mlp()),
+                mlp_impact: Some(mlp_impact),
+                class: Some(class.label().to_string()),
+                paper_class: Some(profile.class.label().to_string()),
                 ..BenchRow::default()
             })
         }
@@ -1168,7 +940,8 @@ fn bench_row(kind: ExperimentKind, benchmark: &str, scale: RunScale) -> Result<B
         }
         ExperimentKind::MlpDistanceCdf => {
             // The paper's Figure 4 characterizes a 256-entry ROB processor
-            // with a 128-entry LLSR (matching `experiments::figure4`).
+            // with a 128-entry LLSR; the runs are single threaded, so pin the
+            // LLSR length.
             let mut config = SmtConfig::baseline(1);
             config.llsr_length_override = Some(128);
             let stats = run_single_thread(benchmark, &config, scale)?;
@@ -1233,15 +1006,6 @@ mod tests {
         report.wall_ms = 0;
         report.threads_used = 0;
         report
-    }
-
-    #[test]
-    fn parallel_map_preserves_order_and_covers_all_items() {
-        let items: Vec<u64> = (0..57).collect();
-        let doubled = parallel_map(&items, 4, |&x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let serial = parallel_map(&items, 1, |&x| x * 2);
-        assert_eq!(serial, doubled);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::metrics;
 use crate::runner::{
     AdaptiveWorkloadResult, ChipWorkloadResult, RunScale, SampledWorkloadResult, WorkloadResult,
 };
+use crate::workloads::Workload;
 
 /// One multiprogram grid cell: a (policy, workload, sweep point) evaluation.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -187,138 +188,92 @@ pub struct ExperimentReport {
     pub checkpoints: Option<CheckpointSummary>,
 }
 
+/// The runner result behind one grid cell, as the engine's cell body
+/// produced it.
+pub(crate) enum CellResult {
+    /// An exact machine-level run.
+    Exact(WorkloadResult),
+    /// A sampled machine-level run.
+    Sampled(SampledWorkloadResult),
+    /// A chip run under a static fetch policy.
+    Chip(ChipWorkloadResult),
+    /// An adaptive run, on the machine or on a chip.
+    Adaptive(AdaptiveWorkloadResult),
+}
+
+impl PolicyCell {
+    /// Builds the report cell of one grid evaluation. `policy` is the arm's
+    /// policy column: the static policy, or an adaptive arm's initial policy
+    /// (the selector/candidates/residency columns then describe the dynamic
+    /// behaviour). Sampled cells carry the estimate means in the shared
+    /// metric columns and keep the confidence intervals in `sampled`.
+    pub(crate) fn from_result(
+        result: CellResult,
+        policy: FetchPolicyKind,
+        workload: &Workload,
+        parameter: Option<u64>,
+    ) -> PolicyCell {
+        let base = |stp, antt, per_thread_ipc, per_thread_st_ipc| PolicyCell {
+            policy,
+            workload: workload.name(),
+            benchmarks: workload.benchmarks.clone(),
+            group: workload.group.label().to_string(),
+            parameter,
+            stp,
+            antt,
+            per_thread_ipc,
+            per_thread_st_ipc,
+            allocation: None,
+            num_cores: None,
+            core_assignments: None,
+            per_core_ipc: None,
+            per_core_stp: None,
+            selector: None,
+            candidates: None,
+            policy_residency: None,
+            sampled: None,
+        };
+        match result {
+            CellResult::Exact(r) => base(r.stp, r.antt, r.per_thread_ipc, r.per_thread_st_ipc),
+            CellResult::Sampled(r) => PolicyCell {
+                sampled: Some(SampledCellStats {
+                    windows: r.windows,
+                    detailed_fraction: r.detailed_fraction,
+                    stp: r.stp,
+                    antt: r.antt,
+                    total_ipc: r.total_ipc,
+                }),
+                ..base(
+                    r.stp.mean,
+                    r.antt.mean,
+                    r.per_thread_ipc.iter().map(|e| e.mean).collect(),
+                    r.per_thread_st_ipc,
+                )
+            },
+            CellResult::Chip(r) => PolicyCell {
+                allocation: Some(r.allocation),
+                num_cores: Some(r.num_cores),
+                core_assignments: Some(r.core_assignments),
+                per_core_ipc: Some(r.per_core_ipc),
+                per_core_stp: Some(r.per_core_stp),
+                ..base(r.stp, r.antt, r.per_thread_ipc, r.per_thread_st_ipc)
+            },
+            CellResult::Adaptive(r) => PolicyCell {
+                allocation: r.allocation,
+                num_cores: r.num_cores,
+                core_assignments: r.core_assignments,
+                per_core_ipc: r.per_core_ipc,
+                per_core_stp: r.per_core_stp,
+                selector: Some(r.selector),
+                candidates: Some(r.candidates),
+                policy_residency: Some(r.policy_residency),
+                ..base(r.stp, r.antt, r.per_thread_ipc, r.per_thread_st_ipc)
+            },
+        }
+    }
+}
+
 impl ExperimentReport {
-    /// Builds a cell from a [`WorkloadResult`].
-    pub(crate) fn cell_from_result(
-        result: &WorkloadResult,
-        benchmarks: &[String],
-        group: &str,
-        parameter: Option<u64>,
-    ) -> PolicyCell {
-        PolicyCell {
-            policy: result.policy,
-            workload: result.workload.clone(),
-            benchmarks: benchmarks.to_vec(),
-            group: group.to_string(),
-            parameter,
-            stp: result.stp,
-            antt: result.antt,
-            per_thread_ipc: result.per_thread_ipc.clone(),
-            per_thread_st_ipc: result.per_thread_st_ipc.clone(),
-            allocation: None,
-            num_cores: None,
-            core_assignments: None,
-            per_core_ipc: None,
-            per_core_stp: None,
-            selector: None,
-            candidates: None,
-            policy_residency: None,
-            sampled: None,
-        }
-    }
-
-    /// Builds a cell from a sampled-mode [`SampledWorkloadResult`]: the shared
-    /// metric columns carry the estimate means, and the `sampled` block keeps
-    /// the confidence intervals and detailed-simulation pedigree.
-    pub(crate) fn cell_from_sampled_result(
-        result: &SampledWorkloadResult,
-        benchmarks: &[String],
-        group: &str,
-        parameter: Option<u64>,
-    ) -> PolicyCell {
-        PolicyCell {
-            policy: result.policy,
-            workload: result.workload.clone(),
-            benchmarks: benchmarks.to_vec(),
-            group: group.to_string(),
-            parameter,
-            stp: result.stp.mean,
-            antt: result.antt.mean,
-            per_thread_ipc: result.per_thread_ipc.iter().map(|e| e.mean).collect(),
-            per_thread_st_ipc: result.per_thread_st_ipc.clone(),
-            allocation: None,
-            num_cores: None,
-            core_assignments: None,
-            per_core_ipc: None,
-            per_core_stp: None,
-            selector: None,
-            candidates: None,
-            policy_residency: None,
-            sampled: Some(SampledCellStats {
-                windows: result.windows,
-                detailed_fraction: result.detailed_fraction,
-                stp: result.stp,
-                antt: result.antt,
-                total_ipc: result.total_ipc,
-            }),
-        }
-    }
-
-    /// Builds a cell from a chip-level [`ChipWorkloadResult`].
-    pub(crate) fn cell_from_chip_result(
-        result: &ChipWorkloadResult,
-        benchmarks: &[String],
-        group: &str,
-        parameter: Option<u64>,
-    ) -> PolicyCell {
-        PolicyCell {
-            policy: result.policy,
-            workload: result.workload.clone(),
-            benchmarks: benchmarks.to_vec(),
-            group: group.to_string(),
-            parameter,
-            stp: result.stp,
-            antt: result.antt,
-            per_thread_ipc: result.per_thread_ipc.clone(),
-            per_thread_st_ipc: result.per_thread_st_ipc.clone(),
-            allocation: Some(result.allocation),
-            num_cores: Some(result.num_cores),
-            core_assignments: Some(result.core_assignments.clone()),
-            per_core_ipc: Some(result.per_core_ipc.clone()),
-            per_core_stp: Some(result.per_core_stp.clone()),
-            selector: None,
-            candidates: None,
-            policy_residency: None,
-            sampled: None,
-        }
-    }
-
-    /// Builds a cell from an adaptive-engine [`AdaptiveWorkloadResult`]. The
-    /// cell's `policy` column carries the *initial* policy
-    /// (`candidates[0]`); the selector/candidates/residency columns describe
-    /// the dynamic behaviour.
-    pub(crate) fn cell_from_adaptive_result(
-        result: &AdaptiveWorkloadResult,
-        benchmarks: &[String],
-        group: &str,
-        parameter: Option<u64>,
-    ) -> PolicyCell {
-        PolicyCell {
-            policy: *result
-                .candidates
-                .first()
-                // analyze: allow(panic-policy) reason="documented panic: spec validation rejects empty candidate sets before any cell is built"
-                .expect("validated adaptive cell has candidates"),
-            workload: result.workload.clone(),
-            benchmarks: benchmarks.to_vec(),
-            group: group.to_string(),
-            parameter,
-            stp: result.stp,
-            antt: result.antt,
-            per_thread_ipc: result.per_thread_ipc.clone(),
-            per_thread_st_ipc: result.per_thread_st_ipc.clone(),
-            allocation: result.allocation,
-            num_cores: result.num_cores,
-            core_assignments: result.core_assignments.clone(),
-            per_core_ipc: result.per_core_ipc.clone(),
-            per_core_stp: result.per_core_stp.clone(),
-            selector: Some(result.selector),
-            candidates: Some(result.candidates.clone()),
-            policy_residency: Some(result.policy_residency.clone()),
-            sampled: None,
-        }
-    }
-
     /// Computes the per-(sweep point, policy, group) and per-(sweep point,
     /// policy) aggregates from `cells`, preserving the given policy order.
     pub(crate) fn summarize(
@@ -336,8 +291,7 @@ impl ExperimentReport {
             }
         }
         // Always emit the all-workloads aggregate (`group: None`) so
-        // consumers can rely on its presence, matching the legacy
-        // ungrouped entry points.
+        // consumers can rely on its presence.
         groups.push(None);
         // Chip grids add an allocation axis; classic grids have the single
         // `None` allocation, keeping their summary rows unchanged.

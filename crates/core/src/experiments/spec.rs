@@ -491,8 +491,7 @@ impl ExperimentSpec {
     }
 
     /// Returns a copy keeping at most `limit` workloads of each workload
-    /// group (ILP/MLP/mixed), preserving order — the spec-level equivalent of
-    /// the legacy `per_group` arguments.
+    /// group (ILP/MLP/mixed), preserving order (`smt-cli run --per-group`).
     ///
     /// # Errors
     ///

@@ -13,7 +13,8 @@
 //!   Tables II and III,
 //! * [`runner`] — high-level helpers that run single-threaded reference and
 //!   multithreaded workloads and combine them into STP/ANTT results,
-//! * [`experiments`] — one runner per table/figure of the evaluation section,
+//! * [`experiments`] — every table/figure of the evaluation section as a
+//!   registry spec, run by one resilient parallel engine into uniform reports,
 //! * [`throughput`] — the simulator-throughput (sims/sec) harness behind
 //!   `smt-cli bench` and `BENCH_throughput.json`.
 //!

@@ -858,45 +858,15 @@ pub struct ChipWorkloadResult {
 }
 
 /// Evaluates one workload on a chip under one (fetch policy, allocation)
-/// pair, probing each benchmark's MLP intensity first (see
-/// [`mlp_intensity`]).
+/// pair, given each thread's MLP intensity (see [`mlp_intensity`]; the
+/// experiment engine probes each distinct benchmark once and shares the
+/// results across cells).
 ///
 /// # Errors
 ///
 /// Returns an error for unknown benchmarks, invalid configurations, or a
 /// workload that does not fill the chip's `num_cores x threads_per_core`
 /// geometry.
-pub fn evaluate_chip_workload<S: AsRef<str>>(
-    benchmarks: &[S],
-    policy: FetchPolicyKind,
-    allocation: AllocationPolicyKind,
-    chip: &ChipConfig,
-    scale: RunScale,
-    cache: &StReferenceCache,
-) -> Result<ChipWorkloadResult, SimError> {
-    let benchmarks: Vec<&str> = benchmarks.iter().map(AsRef::as_ref).collect();
-    let intensities = benchmarks
-        .iter()
-        .map(|b| mlp_intensity(b, &chip.core, scale.seed))
-        .collect::<Result<Vec<_>, _>>()?;
-    evaluate_chip_workload_with_intensities(
-        &benchmarks,
-        &intensities,
-        policy,
-        allocation,
-        chip,
-        scale,
-        cache,
-    )
-}
-
-/// [`evaluate_chip_workload`] with precomputed per-thread MLP intensities
-/// (the parallel experiment engine probes each distinct benchmark once and
-/// shares the results across cells).
-///
-/// # Errors
-///
-/// Same as [`evaluate_chip_workload`].
 pub fn evaluate_chip_workload_with_intensities<S: AsRef<str>>(
     benchmarks: &[S],
     intensities: &[f64],
@@ -1116,7 +1086,8 @@ pub fn evaluate_adaptive_workload<S: AsRef<str>>(
 ///
 /// # Errors
 ///
-/// Same as [`evaluate_chip_workload`], plus invalid adaptive configurations.
+/// Same as [`evaluate_chip_workload_with_intensities`], plus invalid adaptive
+/// configurations.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_adaptive_chip_workload_with_intensities<S: AsRef<str>>(
     benchmarks: &[S],
@@ -1313,12 +1284,24 @@ mod tests {
         assert!(zero.validate().is_err());
     }
 
+    /// Probes each benchmark's MLP intensity on the chip's core
+    /// configuration, as the engine does before fanning out chip cells.
+    fn probed_intensities(benchmarks: &[&str], chip: &ChipConfig, seed: u64) -> Vec<f64> {
+        benchmarks
+            .iter()
+            .map(|b| mlp_intensity(b, &chip.core, seed).unwrap())
+            .collect()
+    }
+
     #[test]
     fn chip_workload_evaluation_produces_sane_metrics() {
         let chip = ChipConfig::baseline(2, 2);
         let cache = StReferenceCache::new();
-        let r = evaluate_chip_workload(
-            &["mcf", "swim", "gcc", "gap"],
+        let benchmarks = ["mcf", "swim", "gcc", "gap"];
+        let intensities = probed_intensities(&benchmarks, &chip, RunScale::tiny().seed);
+        let r = evaluate_chip_workload_with_intensities(
+            &benchmarks,
+            &intensities,
             FetchPolicyKind::Icount,
             AllocationPolicyKind::RoundRobin,
             &chip,
@@ -1347,8 +1330,10 @@ mod tests {
         let cache = StReferenceCache::new();
         let scale = RunScale::tiny();
         let benchmarks = ["mcf", "swim", "gcc", "gap"];
-        let rr = evaluate_chip_workload(
+        let intensities = probed_intensities(&benchmarks, &chip, scale.seed);
+        let rr = evaluate_chip_workload_with_intensities(
             &benchmarks,
+            &intensities,
             FetchPolicyKind::Icount,
             AllocationPolicyKind::RoundRobin,
             &chip,
@@ -1356,8 +1341,9 @@ mod tests {
             &cache,
         )
         .unwrap();
-        let ff = evaluate_chip_workload(
+        let ff = evaluate_chip_workload_with_intensities(
             &benchmarks,
+            &intensities,
             FetchPolicyKind::Icount,
             AllocationPolicyKind::FillFirst,
             &chip,
@@ -1365,8 +1351,9 @@ mod tests {
             &cache,
         )
         .unwrap();
-        let mb = evaluate_chip_workload(
+        let mb = evaluate_chip_workload_with_intensities(
             &benchmarks,
+            &intensities,
             FetchPolicyKind::Icount,
             AllocationPolicyKind::MlpBalanced,
             &chip,

@@ -1,14 +1,49 @@
 //! End-to-end integration tests: full simulations across fetch policies, checking
 //! the qualitative results the paper reports.
 
-use smt_core::experiments::policies::policy_comparison;
+use smt_core::experiments::{
+    engine, ExperimentKind, ExperimentRegistry, ExperimentReport, ExperimentSpec, SummaryRow,
+};
 use smt_core::runner::{evaluate_workload, run_multiprogram, RunScale};
-use smt_core::workloads::Workload;
 use smt_types::config::FetchPolicyKind;
 use smt_types::SmtConfig;
 
 fn scale() -> RunScale {
     RunScale::test()
+}
+
+/// Runs a baseline-machine policy × workload grid through the engine.
+fn policy_grid(policies: &[FetchPolicyKind], workloads: &[[&str; 2]]) -> ExperimentReport {
+    let spec = ExperimentSpec {
+        name: "end-to-end-grid".to_string(),
+        title: "end-to-end policy grid".to_string(),
+        paper_ref: String::new(),
+        kind: ExperimentKind::PolicyGrid,
+        policies: policies.to_vec(),
+        workloads: workloads
+            .iter()
+            .map(|w| w.iter().map(|b| b.to_string()).collect())
+            .collect(),
+        sweep: None,
+        overrides: None,
+        chip: None,
+        adaptive: None,
+        resilience: None,
+        sampling: None,
+        scale: scale(),
+    };
+    let report = engine::run_spec(&spec).unwrap();
+    assert!(report.health.as_ref().unwrap().is_complete());
+    report
+}
+
+/// The all-workloads aggregate of one policy.
+fn overall(report: &ExperimentReport, policy: FetchPolicyKind) -> &SummaryRow {
+    report
+        .summaries
+        .iter()
+        .find(|row| row.policy == policy && row.group.is_none())
+        .unwrap_or_else(|| panic!("no summary for {}", policy.name()))
 }
 
 #[test]
@@ -52,25 +87,17 @@ fn every_policy_completes_an_mlp_intensive_workload() {
 
 #[test]
 fn long_latency_aware_policies_beat_icount_on_mlp_workloads() {
-    let cfg = SmtConfig::baseline(2);
-    let workloads = vec![
-        Workload::new(vec!["mcf", "swim"]).unwrap(),
-        Workload::new(vec!["mcf", "galgel"]).unwrap(),
-    ];
-    let results = policy_comparison(
+    let report = policy_grid(
         &[
             FetchPolicyKind::Icount,
             FetchPolicyKind::Flush,
             FetchPolicyKind::MlpFlush,
         ],
-        &workloads,
-        &cfg,
-        scale(),
-    )
-    .unwrap();
-    let icount = &results[0];
-    let flush = &results[1];
-    let mlp_flush = &results[2];
+        &[["mcf", "swim"], ["mcf", "galgel"]],
+    );
+    let icount = overall(&report, FetchPolicyKind::Icount);
+    let flush = overall(&report, FetchPolicyKind::Flush);
+    let mlp_flush = overall(&report, FetchPolicyKind::MlpFlush);
     assert!(
         flush.avg_stp > icount.avg_stp,
         "flush STP {} should beat ICOUNT {}",
@@ -97,6 +124,47 @@ fn long_latency_aware_policies_beat_icount_on_mlp_workloads() {
         mlp_flush.avg_antt,
         flush.avg_antt
     );
+}
+
+#[test]
+fn mlp_flush_beats_icount_on_mlp_intensive_workload() {
+    let report = policy_grid(
+        &[FetchPolicyKind::Icount, FetchPolicyKind::MlpFlush],
+        &[["mcf", "swim"]],
+    );
+    let icount = overall(&report, FetchPolicyKind::Icount);
+    let mlp_flush = overall(&report, FetchPolicyKind::MlpFlush);
+    assert!(
+        mlp_flush.avg_stp >= icount.avg_stp * 0.98,
+        "MLP-aware flush STP {} should not trail ICOUNT {} on an MLP-intensive mix",
+        mlp_flush.avg_stp,
+        icount.avg_stp
+    );
+}
+
+#[test]
+fn ipc_stacks_have_one_entry_per_policy() {
+    // Figures 11/12: per-thread IPC stacks of the first MLP-intensive
+    // two-thread workload under every main policy.
+    let spec = ExperimentRegistry::builtin()
+        .get("fig09_two_thread_policies")
+        .unwrap()
+        .clone()
+        .with_scale(RunScale::tiny())
+        .with_workload_limit_per_group(1)
+        .unwrap();
+    let report = engine::run_spec(&spec).unwrap();
+    let stack: Vec<_> = report
+        .policy_cells
+        .iter()
+        .filter(|cell| cell.group == "MLP")
+        .collect();
+    let policies: Vec<FetchPolicyKind> = stack.iter().map(|cell| cell.policy).collect();
+    assert_eq!(policies, FetchPolicyKind::MAIN_COMPARISON);
+    for cell in &stack {
+        assert_eq!(cell.per_thread_ipc.len(), 2);
+        assert!(cell.per_thread_ipc.iter().all(|&v| v > 0.0));
+    }
 }
 
 #[test]

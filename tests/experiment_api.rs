@@ -1,23 +1,14 @@
-//! Integration tests of the declarative experiment API: registry
-//! completeness against the legacy `experiments::*` entry points, spec
-//! serialization round-trips, and exactly-once semantics of the shared
-//! single-threaded reference cache under concurrency.
+//! Integration tests of the declarative experiment API: sweep grids,
+//! report serialization round-trips, thread-count invariance, and
+//! exactly-once semantics of the shared single-threaded reference cache
+//! under concurrency.
 
-use smt_core::experiments::policies::{
-    alternative_policies, four_thread_comparison, ipc_stacks, partitioning_comparison,
-    policy_comparison_two_thread, GroupSummary,
-};
-use smt_core::experiments::predictors::{figure4, figure5, predictor_characterization};
-use smt_core::experiments::sweeps::memory_latency_sweep;
 use smt_core::experiments::{
-    characterization, engine, ExperimentRegistry, ExperimentReport, ExperimentSpec, SummaryRow,
+    engine, ExperimentRegistry, ExperimentReport, ExperimentSpec, SummaryRow,
 };
 use smt_core::runner::{RunScale, StReferenceCache};
-use smt_core::workloads::WorkloadGroup;
 use smt_types::config::FetchPolicyKind;
 use smt_types::SmtConfig;
-
-const TOLERANCE: f64 = 1e-12;
 
 fn scale() -> RunScale {
     RunScale::tiny()
@@ -46,191 +37,40 @@ fn summary<'a>(
         .unwrap_or_else(|| panic!("no summary for {policy:?} {group:?} {parameter:?}"))
 }
 
-fn assert_group_summaries_match(report: &ExperimentReport, legacy: &[GroupSummary]) {
-    for legacy_group in legacy {
-        for comparison in &legacy_group.policies {
-            let row = summary(
-                report,
-                comparison.policy,
-                Some(legacy_group.group.label()),
-                None,
-            );
-            assert!(
-                (row.avg_stp - comparison.avg_stp).abs() < TOLERANCE,
-                "{:?}/{}: engine STP {} vs legacy {}",
-                comparison.policy,
-                legacy_group.group.label(),
-                row.avg_stp,
-                comparison.avg_stp
-            );
-            assert!(
-                (row.avg_antt - comparison.avg_antt).abs() < TOLERANCE,
-                "{:?}/{}: engine ANTT {} vs legacy {}",
-                comparison.policy,
-                legacy_group.group.label(),
-                row.avg_antt,
-                comparison.avg_antt
-            );
-        }
-    }
+/// `spec` with its sweep restricted to `values`.
+fn swept(mut spec: ExperimentSpec, values: &[u64]) -> ExperimentSpec {
+    spec.sweep.as_mut().expect("sweep spec").values = values.to_vec();
+    spec
 }
 
 #[test]
-fn fig09_spec_matches_legacy_two_thread_comparison() {
-    let report = engine::run_spec(
-        &spec("fig09_two_thread_policies")
-            .with_workload_limit_per_group(1)
-            .unwrap(),
-    )
-    .unwrap();
-    let legacy = policy_comparison_two_thread(scale(), 1).unwrap();
-    assert_group_summaries_match(&report, &legacy);
-}
-
-#[test]
-fn fig09_cells_reproduce_legacy_ipc_stacks() {
-    let mut fig09 = spec("fig09_two_thread_policies");
-    // Keep only the first MLP-intensive workload, matching
-    // ipc_stacks(scale, MlpIntensive, 1).
-    fig09.workloads = vec![vec!["apsi".to_string(), "mesa".to_string()]];
-    let report = engine::run_spec(&fig09).unwrap();
-    let stacks = ipc_stacks(scale(), WorkloadGroup::MlpIntensive, 1).unwrap();
-    assert_eq!(stacks.len(), 1);
-    assert_eq!(stacks[0].workload, "apsi-mesa");
-    for (policy, legacy_ipcs) in &stacks[0].per_policy {
-        let cell = report
-            .policy_cells
+fn memory_latency_grid_produces_points() {
+    let report = engine::run_spec(&swept(spec("fig15_memory_latency_sweep"), &[200, 600])).unwrap();
+    for latency in [200, 600] {
+        let policies: Vec<FetchPolicyKind> = report
+            .summaries
             .iter()
-            .find(|c| c.policy == *policy)
-            .unwrap();
-        assert_eq!(&cell.per_thread_ipc, legacy_ipcs, "{policy:?}");
+            .filter(|row| row.parameter == Some(latency) && row.group.is_none())
+            .map(|row| row.policy)
+            .collect();
+        assert_eq!(policies, FetchPolicyKind::MAIN_COMPARISON);
+        let icount = summary(&report, FetchPolicyKind::Icount, None, Some(latency));
+        let mlp_flush = summary(&report, FetchPolicyKind::MlpFlush, None, Some(latency));
+        let rel = mlp_flush.avg_stp / icount.avg_stp;
+        assert!(rel > 0.5 && rel < 2.0, "relative STP {rel} out of range");
     }
 }
 
 #[test]
-fn fig13_spec_matches_legacy_four_thread_comparison() {
-    let report =
-        engine::run_spec(&spec("fig13_four_thread_policies").with_workload_limit(2)).unwrap();
-    let legacy = four_thread_comparison(scale(), 2).unwrap();
-    for comparison in &legacy {
-        // The overall aggregate (group = None) is the legacy semantics.
-        let row = summary(&report, comparison.policy, None, None);
-        assert_eq!(row.workloads, 2);
-        assert!((row.avg_stp - comparison.avg_stp).abs() < TOLERANCE);
-        assert!((row.avg_antt - comparison.avg_antt).abs() < TOLERANCE);
-    }
-}
-
-#[test]
-fn fig15_spec_matches_legacy_memory_latency_sweep() {
-    let mut sweep_spec = spec("fig15_memory_latency_sweep");
-    sweep_spec.sweep.as_mut().unwrap().values = vec![200];
-    let report = engine::run_spec(&sweep_spec).unwrap();
-    let legacy = memory_latency_sweep(&[200], scale()).unwrap();
-    assert_eq!(legacy.len(), 1);
-    for comparison in &legacy[0].policies {
-        let row = summary(&report, comparison.policy, None, Some(200));
-        assert!((row.avg_stp - comparison.avg_stp).abs() < TOLERANCE);
-        assert!((row.avg_antt - comparison.avg_antt).abs() < TOLERANCE);
-    }
-}
-
-#[test]
-fn fig20_spec_matches_legacy_alternative_policies() {
-    let report = engine::run_spec(
-        &spec("fig20_alternative_policies")
-            .with_workload_limit_per_group(1)
-            .unwrap(),
-    )
-    .unwrap();
-    let legacy = alternative_policies(scale(), 1).unwrap();
-    assert_group_summaries_match(&report, &legacy);
-}
-
-#[test]
-fn fig22_specs_match_legacy_partitioning_comparison() {
-    let two = engine::run_spec(
-        &spec("fig22_partitioning_two_thread")
-            .with_workload_limit_per_group(1)
-            .unwrap(),
-    )
-    .unwrap();
-    let four =
-        engine::run_spec(&spec("fig22_partitioning_four_thread").with_workload_limit(1)).unwrap();
-    let (legacy_two, legacy_four) = partitioning_comparison(scale(), 1, 1).unwrap();
-    assert_group_summaries_match(&two, &legacy_two);
-    for comparison in &legacy_four {
-        let row = summary(&four, comparison.policy, None, None);
-        assert!((row.avg_stp - comparison.avg_stp).abs() < TOLERANCE);
-    }
-}
-
-#[test]
-fn table1_spec_matches_legacy_characterization() {
-    let mut characterization_spec = spec("table1_characterization");
-    characterization_spec.workloads = vec![vec!["mcf".to_string()], vec!["bzip2".to_string()]];
-    let report = engine::run_spec(&characterization_spec).unwrap();
-    for row in &report.bench_rows {
-        let legacy = characterization::characterize(&row.benchmark, scale()).unwrap();
-        assert_eq!(
-            row.lll_per_kinst,
-            Some(legacy.lll_per_kinst),
-            "{}",
-            row.benchmark
-        );
-        assert_eq!(row.mlp, Some(legacy.mlp));
-        assert_eq!(row.mlp_impact, Some(legacy.mlp_impact));
-        assert_eq!(row.class.as_deref(), Some(legacy.measured_class.label()));
-        assert_eq!(row.ipc, legacy.ipc);
-    }
-}
-
-#[test]
-fn fig04_and_fig05_specs_match_legacy_rows() {
-    let mut cdf_spec = spec("fig04_mlp_distance_cdf");
-    cdf_spec.workloads.truncate(2);
-    let report = engine::run_spec(&cdf_spec).unwrap();
-    let legacy = figure4(scale()).unwrap();
-    for row in &report.bench_rows {
-        let legacy_row = legacy
-            .iter()
-            .find(|c| c.benchmark == row.benchmark)
-            .unwrap();
-        assert_eq!(row.mlp_distance_cdf.as_ref().unwrap(), &legacy_row.cdf);
-    }
-
-    let mut prefetch_spec = spec("fig05_prefetcher");
-    prefetch_spec.workloads = vec![vec!["swim".to_string()]];
-    let report = engine::run_spec(&prefetch_spec).unwrap();
-    let legacy = figure5(scale()).unwrap();
-    let legacy_row = legacy.iter().find(|r| r.benchmark == "swim").unwrap();
-    assert_eq!(report.bench_rows[0].ipc, legacy_row.ipc_with_prefetch);
-    assert_eq!(
-        report.bench_rows[0].ipc_without_prefetch,
-        Some(legacy_row.ipc_without_prefetch)
-    );
-}
-
-#[test]
-fn fig06_08_spec_matches_legacy_predictor_characterization() {
-    let mut predictor_spec = spec("fig06_08_predictor_accuracy");
-    predictor_spec.workloads = vec![vec!["swim".to_string()], vec!["mcf".to_string()]];
-    let report = engine::run_spec(&predictor_spec).unwrap();
-    let legacy = predictor_characterization(scale()).unwrap();
-    for row in &report.bench_rows {
-        let legacy_row = legacy
-            .iter()
-            .find(|r| r.benchmark == row.benchmark)
-            .unwrap();
-        assert_eq!(row.lll_accuracy, Some(legacy_row.lll_accuracy));
-        assert_eq!(row.lll_miss_accuracy, Some(legacy_row.lll_miss_accuracy));
-        let legacy_mlp_accuracy = legacy_row.mlp_true_positive + legacy_row.mlp_true_negative;
-        assert!((row.mlp_accuracy.unwrap() - legacy_mlp_accuracy).abs() < TOLERANCE);
-        assert_eq!(
-            row.mlp_distance_accuracy,
-            Some(legacy_row.mlp_distance_accuracy)
-        );
-    }
+fn window_grid_scales_configuration() {
+    let report = engine::run_spec(&swept(spec("fig17_window_size_sweep"), &[128])).unwrap();
+    assert!(report
+        .policy_cells
+        .iter()
+        .all(|cell| cell.parameter == Some(128)));
+    let icount = summary(&report, FetchPolicyKind::Icount, None, Some(128));
+    let flush = summary(&report, FetchPolicyKind::Flush, None, Some(128));
+    assert!((flush.avg_antt / icount.avg_antt).is_finite());
 }
 
 #[test]
