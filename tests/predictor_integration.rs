@@ -48,6 +48,13 @@ fn long_latency_predictor_accuracy_is_high_across_memory_benchmarks() {
 }
 
 #[test]
+fn lll_predictor_is_accurate_on_memory_intensive_benchmark() {
+    let rows = bench_rows("fig06_08_predictor_accuracy", &["swim"], RunScale::test());
+    let acc = row(&rows, "swim").lll_accuracy.unwrap();
+    assert!(acc > 0.90, "swim long-latency predictor accuracy {acc}");
+}
+
+#[test]
 fn miss_prediction_accuracy_is_reasonable_for_memory_intensive_benchmarks() {
     let cfg = SmtConfig::baseline(1).with_prefetcher(false);
     for name in ["swim", "equake", "applu"] {
